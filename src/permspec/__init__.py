@@ -11,6 +11,7 @@ from .counting import (
 )
 from .disambiguate import (
     add_mandatory,
+    ambiguous_system,
     disambiguate,
     eqn_for_restriction,
     specification,
@@ -75,10 +76,8 @@ from .system import (
     EquationSystem,
     SimpleSet,
     add_constraints,
-    ambiguous_system,
     basis_of,
     closure_equation,
-    eqn_for_class,
     simple_set,
 )
 

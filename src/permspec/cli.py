@@ -2,7 +2,8 @@
 
 Subcommands: specify, ambiguous, count, sample, heatmap, and the oracle
 group (enumerate, simples, audit).  Exit status 0 on success, 1 on a domain
-error (trivial class, exceeded caps, impossible sizes), 2 on usage errors.
+error (trivial class, exceeded caps, impossible sizes, unreadable files), 2 on
+usage errors; either way the error is one line on standard error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import random
 import sys
 
 from . import jsonio
-from .counting import class_counts, coefficients
-from .disambiguate import specification, suspect_empty_terms
+from .counting import coefficients
+from .disambiguate import ambiguous_system, specification, suspect_empty_terms
 from .errors import PermspecError
 from .oracle import (
     audit_specification,
@@ -24,7 +25,7 @@ from .oracle import (
 )
 from .perms import sort_key
 from .sampler import build_tables, sample
-from .system import ambiguous_system, basis_of, simple_set
+from .system import basis_of, simple_set
 
 
 def entrypoint() -> None:
@@ -36,13 +37,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PermspecError as exc:
+    except (PermspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit with status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permspec",
         description="Specifications, exact counting and uniform sampling "
         "for permutation classes with finitely many simple permutations.",
@@ -75,14 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
     smp = sub.add_parser("sample", help="uniform random members of the class")
     smp.add_argument("--spec", required=True)
     smp.add_argument("--size", type=int, required=True)
-    smp.add_argument("--count", type=int, default=1)
+    smp.add_argument("--count", type=_non_negative, default=1)
     smp.add_argument("--seed", type=int, default=0)
     smp.set_defaults(func=_cmd_sample)
 
     hm = sub.add_parser("heatmap", help="value-position frequency matrix as CSV")
     hm.add_argument("--spec", required=True)
     hm.add_argument("--size", type=int, required=True)
-    hm.add_argument("--samples", type=int, required=True)
+    hm.add_argument("--samples", type=_non_negative, required=True)
     hm.add_argument("--seed", type=int, default=0)
     hm.add_argument("--out", required=True)
     hm.set_defaults(func=_cmd_heatmap)
@@ -174,11 +188,11 @@ def _read_system(path: str):
 
 def _cmd_count(args) -> int:
     system = _read_system(args.spec)
-    counts = class_counts(system, args.N)
+    tables = coefficients(system, args.N)
+    counts = tables[system.root]
     for n in range(1, args.N + 1):
         print(f"{n}\t{counts[n]}")
     if args.json:
-        tables = coefficients(system, args.N)
         obj = {jsonio.restriction_key(r): arr for r, arr in tables.items()}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2, sort_keys=True)

@@ -5,8 +5,10 @@ functions: the atom becomes z, a term becomes the product of its children's
 series, a union becomes a sum.  The resulting positive system is solved as a
 truncated-series fixed point evaluated in size order: every term has at least
 two children of positive valuation, so each coefficient depends only on
-strictly smaller ones and a single size-major sweep is exact.  All arithmetic
-is arbitrary-precision integer.
+strictly smaller ones and a single size-major sweep is exact.  The sweep
+keeps, for every term, the series of the products of its first j children;
+the last one is the term's own series, and the sampler reuses all of them to
+split sizes among children.  All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
@@ -59,30 +61,38 @@ def to_gf_system(spec: EquationSystem) -> GFSystem:
 
 
 def coefficients(spec: EquationSystem, order: int) -> dict[Restriction, list[int]]:
-    """Exact counts c[0..order] for every restriction of the system.
+    """Exact counts c[0..order] for every restriction of the system."""
+    if order < 1:
+        raise InvalidInputError("order must be at least 1")
+    return _solve(spec, order)[0]
+
+
+def _solve(
+    spec: EquationSystem, order: int
+) -> tuple[dict[Restriction, list[int]], dict[Restriction, list[list[list[int]]]]]:
+    """Counts c[0..order] per restriction, and per equation the prefix
+    products of its terms: prefixes[lhs][i][j][n] counts the inflations of
+    children 0..j of the i-th term with total size n, so entry 0 is the first
+    child's counts and the last entry is the term's series.
 
     Size-major evaluation of the fixed point: when size n is processed, every
     product only reads coefficients of sizes below n, which are final.
     """
-    if order < 1:
-        raise InvalidInputError("order must be at least 1")
     gf = to_gf_system(spec)
     counts: dict[Restriction, list[int]] = {
         eq.lhs: [0] * (order + 1) for eq in gf.equations
     }
-    # prefix[t][j] is the series of the product of children 0..j of term t
-    prefix: dict[tuple[Restriction, int, int], list[int]] = {}
-    for eq in gf.equations:
-        for ti, t in enumerate(eq.terms):
-            for j in range(1, len(t)):
-                prefix[(eq.lhs, ti, j)] = [0] * (order + 1)
+    prefixes = {
+        eq.lhs: [[counts[t[0]]] + [[0] * (order + 1) for _ in t[1:]] for t in eq.terms]
+        for eq in gf.equations
+    }
     for n in range(1, order + 1):
         for eq in gf.equations:
             total = 1 if (eq.has_one and n == 1) else 0
-            for ti, t in enumerate(eq.terms):
-                prev = counts[t[0]]
+            for t, products in zip(eq.terms, prefixes[eq.lhs]):
+                prev = products[0]
                 for j in range(1, len(t)):
-                    arr = prefix[(eq.lhs, ti, j)]
+                    arr = products[j]
                     cj = counts[t[j]]
                     arr[n] = sum(prev[n - m] * cj[m] for m in range(1, n))
                     prev = arr
@@ -91,7 +101,7 @@ def coefficients(spec: EquationSystem, order: int) -> dict[Restriction, list[int
     for lhs, arr in counts.items():
         if arr[0] != 0 or arr[1] not in (0, 1):
             raise AssertionError(f"count table for {lhs} violates c0=0, c1<=1")
-    return counts
+    return counts, prefixes
 
 
 def class_counts(spec: EquationSystem, order: int) -> list[int]:

@@ -1,27 +1,33 @@
-"""Mandatory-pattern propagation, disambiguation, and the full specification.
+"""Equations for restrictions, disambiguation, and the construction driver.
 
-Equations built by the system module may have overlapping terms.  Overlap can
-only happen between terms sharing a root, and each such group is rewritten as
-the disjoint union, over every non-empty subset of the group, of the
-intersection of the chosen terms with the complements of the others.
-Complements introduce mandatory patterns, which propagate through inflations
-just like forbidden ones, by embeddings.  The specification driver repeats
-equation construction and disambiguation until the system is closed.
+An equation for a restriction starts from the closure equation and pushes
+every forbidden pattern, then every mandatory one, into the children of its
+terms.  The resulting terms may overlap, but only when they share a root,
+and each such group is rewritten as the disjoint union, over every non-empty
+subset of the group, of the intersection of the chosen terms with the
+complements of the others.  Complements introduce mandatory patterns, which
+propagate through inflations just like forbidden ones, by embeddings.
+
+One worklist driver builds both systems: it adds an equation for every
+restriction that appears on a right-hand side until the system is closed,
+finishing each equation as it is produced.  The ambiguous system keeps the
+equations as built; the specification disambiguates each one.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 from .embeddings import all_embeddings
 from .errors import EquationLimitError, InvalidInputError
 from .perms import Permutation, sort_key
 from .restrictions import (
     Equation,
-    Restriction,
     RestrictionTerm,
-    complement_restriction,
+    complement_term,
     intersect_restrictions,
+    intersect_terms,
     provably_empty,
     restriction,
     root_rank,
@@ -34,10 +40,11 @@ from .system import (
     EquationSystem,
     SimpleSet,
     _check_block_invariant,
+    add_constraints,
     closure_equation,
     distinct_roots,
     equation_cap,
-    fold_avoidance,
+    fold,
     propagated_blocks,
     prune_terms,
 )
@@ -65,13 +72,6 @@ def add_mandatory(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm, 
     return prune_terms(tuple(out))
 
 
-def fold_mandatory(terms: tuple[RestrictionTerm, ...], g: Permutation) -> tuple[RestrictionTerm, ...]:
-    out: list[RestrictionTerm] = []
-    for t in terms:
-        out.extend(add_mandatory(t, g))
-    return prune_terms(tuple(out))
-
-
 def eqn_for_restriction(delta: str, avoid, contain, simples: SimpleSet) -> Equation:
     """A (possibly ambiguous) equation for one restriction.
 
@@ -84,20 +84,10 @@ def eqn_for_restriction(delta: str, avoid, contain, simples: SimpleSet) -> Equat
         return Equation(lhs, False, (), disjoint=True)
     terms = closure_equation(delta, simples).terms
     for g in sorted(lhs.avoid, key=sort_key):
-        terms = fold_avoidance(terms, g)
+        terms = fold(terms, add_constraints, g)
     for g in sorted(lhs.contain, key=sort_key):
-        terms = fold_mandatory(terms, g)
+        terms = fold(terms, add_mandatory, g)
     return Equation(lhs, not lhs.contain, terms, disjoint=distinct_roots(terms))
-
-
-def complement_choice_vectors(t: RestrictionTerm):
-    """Child vectors whose union is the complement of t among same-root
-    inflations: each child keeps its restriction or takes one part of its
-    complement, excluding the all-keep vector."""
-    options = [(child,) + complement_restriction(child) for child in t.children]
-    for picks in itertools.product(*(range(len(o)) for o in options)):
-        if any(p != 0 for p in picks):
-            yield tuple(options[i][p] for i, p in enumerate(picks))
 
 
 def disambiguate(eq: Equation) -> Equation:
@@ -127,11 +117,12 @@ def disambiguate(eq: Equation) -> Equation:
 
 def _disambiguate_group(group: list[RestrictionTerm]) -> list[RestrictionTerm]:
     k = len(group)
+    complements = [complement_term(t) for t in group]
     out: list[RestrictionTerm] = []
     seen: set[RestrictionTerm] = set()
     for size in range(1, k + 1):
         for chosen in itertools.combinations(range(k), size):
-            parts = _slice_terms(group, set(chosen))
+            parts = _slice_terms(group, complements, set(chosen))
             for t in parts:
                 if t not in seen:
                     seen.add(t)
@@ -139,12 +130,16 @@ def _disambiguate_group(group: list[RestrictionTerm]) -> list[RestrictionTerm]:
     return out
 
 
-def _slice_terms(group: list[RestrictionTerm], chosen: set[int]) -> list[RestrictionTerm]:
+def _slice_terms(
+    group: list[RestrictionTerm],
+    complements: list[tuple[RestrictionTerm, ...]],
+    chosen: set[int],
+) -> list[RestrictionTerm]:
     """Terms of the disjoint slice: members of `chosen` intersected with the
     complements of the rest of the group."""
     base: RestrictionTerm | None = None
     for i in sorted(chosen):
-        base = group[i] if base is None else _intersect_same_root(base, group[i])
+        base = group[i] if base is None else intersect_terms(base, group[i])
         if term_provably_empty(base):
             return []
     assert base is not None
@@ -154,23 +149,14 @@ def _slice_terms(group: list[RestrictionTerm], chosen: set[int]) -> list[Restric
             continue
         nxt: list[RestrictionTerm] = []
         for s in slice_terms:
-            for vec in complement_choice_vectors(group[j]):
-                u = RestrictionTerm(
-                    s.root,
-                    tuple(intersect_restrictions(a, b) for a, b in zip(s.children, vec)),
-                )
+            for c in complements[j]:
+                u = intersect_terms(s, c)
                 if not term_provably_empty(u):
                     nxt.append(u)
         slice_terms = _dedupe(nxt)
         if not slice_terms:
             return []
     return slice_terms
-
-
-def _intersect_same_root(a: RestrictionTerm, b: RestrictionTerm) -> RestrictionTerm:
-    return RestrictionTerm(
-        a.root, tuple(intersect_restrictions(x, y) for x, y in zip(a.children, b.children))
-    )
 
 
 def _dedupe(terms: list[RestrictionTerm]) -> list[RestrictionTerm]:
@@ -194,6 +180,18 @@ def suspect_empty_terms(eq: Equation) -> tuple[RestrictionTerm, ...]:
     return tuple(out)
 
 
+def ambiguous_system(
+    basis: Basis, simples: SimpleSet, max_equations: int | None = None
+) -> EquationSystem:
+    """The possibly ambiguous equation system describing Av(basis).
+
+    Starts with the equation for the class (the closure restricted by the
+    non-simple basis elements) and adds an equation for every restriction
+    appearing on a right side only, until the system is complete.
+    """
+    return _build_system(basis, simples, max_equations, lambda eq: eq)
+
+
 def specification(
     basis: Basis, simples: SimpleSet, max_equations: int | None = None
 ) -> EquationSystem:
@@ -203,6 +201,17 @@ def specification(
     it is produced; complements introduce restrictions with mandatory
     patterns, which receive their own equations in turn.
     """
+    return _build_system(basis, simples, max_equations, disambiguate)
+
+
+def _build_system(
+    basis: Basis,
+    simples: SimpleSet,
+    max_equations: int | None,
+    finish: Callable[[Equation], Equation],
+) -> EquationSystem:
+    """The worklist: build, finish and record the equation of each restriction
+    in the order it first appears, starting from the class itself."""
     cap = max_equations if max_equations is not None else equation_cap(basis)
     blocks = propagated_blocks(basis)
     root = restriction("", basis.b_star)
@@ -211,7 +220,7 @@ def specification(
     seen = {root}
     while queue:
         lhs = queue.pop(0)
-        eq = disambiguate(eqn_for_restriction(lhs.delta, lhs.avoid, lhs.contain, simples))
+        eq = finish(eqn_for_restriction(lhs.delta, lhs.avoid, lhs.contain, simples))
         _check_block_invariant(eq, blocks)
         system.equations[lhs] = eq
         if len(system.equations) > cap:

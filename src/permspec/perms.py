@@ -350,19 +350,6 @@ def decomposition_tree(p: Permutation) -> DecompositionTree:
     return Prime(root, subtrees)
 
 
-def prime_labels(tree: DecompositionTree) -> set[Permutation]:
-    """Simple permutations labelling the prime nodes of a tree."""
-    if isinstance(tree, Leaf):
-        return set()
-    if isinstance(tree, (Plus, Minus)):
-        return prime_labels(tree.left) | prime_labels(tree.right)
-    assert isinstance(tree, Prime)
-    out = {tree.simple}
-    for c in tree.children:
-        out |= prime_labels(c)
-    return out
-
-
 def in_closure(p: Permutation, simples: Iterable[Permutation]) -> bool:
     """Whether every prime node of p's decomposition tree carries a
     permutation from the given set of simple permutations."""

@@ -4,7 +4,10 @@ The recursive method: every probabilistic choice is weighted by exact counts,
 so the output distribution at each size is exactly uniform.  Choices are made
 by integer thresholds against a caller-supplied source of uniform integers
 (random.Random works); no floating point enters the probability path.
-Tables are immutable after build and safe to share between samplers.
+The tables are the counting pass's own output: the counts, and every term's
+prefix products, which weight the split of a term's size among its children
+drawn right to left.  Tables are immutable after build and safe to share
+between samplers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Protocol
 
-from .counting import coefficients, convolve
+from .counting import _solve
 from .errors import InvalidInputError, SampleError
 from .oracle import member_of_restriction
 from .perms import ONE, Permutation, decompose, substitute
@@ -26,48 +29,23 @@ class IntegerSource(Protocol):
 
 
 @dataclass(frozen=True)
-class TermTables:
-    term: RestrictionTerm
-    # suffixes[j][s] counts inflations of children j.. with total size s;
-    # suffixes[k] is the empty product.  weights = suffixes[0].
-    suffixes: tuple[tuple[int, ...], ...]
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return self.suffixes[0]
-
-
-@dataclass(frozen=True)
 class SamplingTables:
     system: EquationSystem
     limit: int
     counts: dict[Restriction, list[int]]
-    plans: dict[Restriction, tuple[TermTables, ...]]
+    # prefixes[lhs][i][j][s] counts inflations of children 0..j of the
+    # equation's i-th term with total size s; the last entry is the term's
+    # weight series
+    prefixes: dict[Restriction, list[list[list[int]]]]
 
 
 def build_tables(spec: EquationSystem, limit: int) -> SamplingTables:
-    """Counts plus per-term suffix convolutions, up to the size limit."""
+    """Counts plus every term's prefix products, up to the size limit, from
+    one counting pass."""
     if limit < 1:
         raise InvalidInputError("size limit must be at least 1")
-    counts = coefficients(spec, limit)
-    plans: dict[Restriction, tuple[TermTables, ...]] = {}
-    for lhs, eq in spec.equations.items():
-        tables = []
-        for t in eq.terms:
-            unit = [0] * (limit + 1)
-            unit[0] = 1
-            suffixes = [tuple(unit)]
-            for child in reversed(t.children):
-                suffixes.insert(0, tuple(convolve(counts[child], list(suffixes[0]), limit)))
-            tables.append(TermTables(t, tuple(suffixes)))
-        plans[lhs] = tuple(tables)
-        for n in range(limit + 1):
-            total = (1 if (eq.has_one and n == 1) else 0) + sum(
-                tt.weights[n] for tt in tables
-            )
-            if total != counts[lhs][n]:
-                raise AssertionError(f"table totals disagree with counts for {lhs} at {n}")
-    return SamplingTables(spec, limit, counts, plans)
+    counts, prefixes = _solve(spec, limit)
+    return SamplingTables(spec, limit, counts, prefixes)
 
 
 def sample(tables: SamplingTables, n: int, rng: IntegerSource) -> Permutation:
@@ -86,14 +64,12 @@ def sample(tables: SamplingTables, n: int, rng: IntegerSource) -> Permutation:
             if r < 1:
                 continue
             r -= 1
-        for tt in tables.plans[node.key]:
-            w = tt.weights[node.size]
+        for t, prefix in zip(eq.terms, tables.prefixes[node.key]):
+            w = prefix[-1][node.size]
             if r < w:
-                sizes = _draw_sizes(tables, tt, node.size, rng)
-                node.root = tt.term.root
-                node.children = [
-                    _Node(child, s) for child, s in zip(tt.term.children, sizes)
-                ]
+                sizes = _draw_sizes(tables.counts, t, prefix, node.size, rng)
+                node.root = t.root
+                node.children = [_Node(child, s) for child, s in zip(t.children, sizes)]
                 stack.extend(reversed(node.children))
                 break
             r -= w
@@ -113,27 +89,33 @@ class _Node:
 
 
 def _draw_sizes(
-    tables: SamplingTables, tt: TermTables, n: int, rng: IntegerSource
+    counts: dict[Restriction, list[int]],
+    t: RestrictionTerm,
+    prefix: list[list[int]],
+    n: int,
+    rng: IntegerSource,
 ) -> list[int]:
-    """Child sizes left to right, each proportional to its own count times
-    the combined count of the remaining children at the remaining size."""
-    k = len(tt.term.children)
-    sizes: list[int] = []
+    """Child sizes right to left: child j takes size m with weight
+    c_j[m] * prefix[j-1][rem-m], scanned by the prefix's size rem-m
+    ascending; child 0 takes what remains."""
+    k = len(t.children)
+    sizes = [0] * k
     rem = n
-    for j in range(k - 1):
-        cj = tables.counts[tt.term.children[j]]
-        nxt = tt.suffixes[j + 1]
-        r = rng.randrange(tt.suffixes[j][rem])
-        for m in range(1, rem - (k - j - 1) + 1):
-            w = cj[m] * nxt[rem - m]
+    for j in range(k - 1, 0, -1):
+        cj = counts[t.children[j]]
+        before = prefix[j - 1]
+        r = rng.randrange(prefix[j][rem])
+        # children 0..j-1 take at least one position each
+        for s in range(j, rem):
+            w = before[s] * cj[rem - s]
             if r < w:
-                sizes.append(m)
-                rem -= m
                 break
             r -= w
         else:
             raise AssertionError("size weights exhausted before the threshold")
-    sizes.append(rem)
+        sizes[j] = rem - s
+        rem = s
+    sizes[0] = rem
     return sizes
 
 
@@ -184,21 +166,20 @@ def derivation_probability(
         return Fraction(1, total)
     root, kids = decompose(sigma)
     matches = [
-        tt
-        for tt in tables.plans[key]
-        if tt.term.root == root
+        t
+        for t in eq.terms
+        if t.root == root
         and all(
             member_of_restriction(kid, child, tables.system.simples)
-            for kid, child in zip(kids, tt.term.children)
+            for kid, child in zip(kids, t.children)
         )
     ]
     if len(matches) != 1:
         raise SampleError(
             f"{sigma} has {len(matches)} derivations under {key}; expected exactly 1"
         )
-    tt = matches[0]
     prob = Fraction(1, total)
-    for kid, child in zip(kids, tt.term.children):
+    for kid, child in zip(kids, matches[0].children):
         prob *= tables.counts[child][len(kid)]
         prob *= derivation_probability(tables, kid, child)
     return prob

@@ -1,10 +1,11 @@
-"""Building equation systems for a class from its basis and simple permutations.
+"""The building blocks of equation systems for a class given by its basis and
+simple permutations.
 
-The entry point is ambiguous_system: starting from the closure equations, it
-pushes every non-simple forbidden pattern of the basis down into the children
-of each inflation term, and keeps adding equations until every restriction on
-a right-hand side is defined.  The unions produced here may overlap; the
-disambiguator turns them into a specification.
+This module holds the inputs (Basis, SimpleSet), the system container, the
+closure equations, and the rewrite that pushes a forbidden pattern into the
+children of an inflation term (add_constraints), folded over a union with
+pruning.  The worklist that assembles whole systems, ambiguous or
+disambiguated, lives in the disambiguate module.
 """
 
 from __future__ import annotations
@@ -12,14 +13,10 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .embeddings import Embedding, all_embeddings
-from .errors import (
-    EquationLimitError,
-    InvalidInputError,
-    NotAntichainError,
-    TrivialClassError,
-)
+from .errors import InvalidInputError, NotAntichainError, TrivialClassError
 from .perms import (
     MINUS,
     ONE,
@@ -231,10 +228,16 @@ def prune_terms(terms: tuple[RestrictionTerm, ...]) -> tuple[RestrictionTerm, ..
     return tuple(kept)
 
 
-def fold_avoidance(terms: tuple[RestrictionTerm, ...], g: Permutation) -> tuple[RestrictionTerm, ...]:
+def fold(
+    terms: tuple[RestrictionTerm, ...],
+    rewrite: Callable[[RestrictionTerm, Permutation], tuple[RestrictionTerm, ...]],
+    g: Permutation,
+) -> tuple[RestrictionTerm, ...]:
+    """Constrain every term of a union by g through rewrite (add_constraints
+    or add_mandatory), then prune the resulting union."""
     out: list[RestrictionTerm] = []
     for t in terms:
-        out.extend(add_constraints(t, g))
+        out.extend(rewrite(t, g))
     return prune_terms(tuple(out))
 
 
@@ -244,55 +247,20 @@ def distinct_roots(terms) -> bool:
     return len({t.root for t in terms}) == len(terms)
 
 
-def eqn_for_class(delta: str, avoid, simples: SimpleSet) -> Equation:
-    """An equation for the closure part restricted by a set of forbidden
-    patterns, with every constraint pushed into the children."""
-    lhs = restriction(delta, avoid)
-    terms = closure_equation(delta, simples).terms
-    for g in sorted(lhs.avoid, key=sort_key):
-        terms = fold_avoidance(terms, g)
-    return Equation(lhs, True, terms, disjoint=distinct_roots(terms))
-
-
 def equation_cap(basis: Basis, default_from_env: bool = True) -> int:
     """Hard cap on system size: one equation per (delta, avoid, contain)
     triple over the normalized blocks of the propagated basis elements."""
     if default_from_env and MAX_EQUATIONS_ENV in os.environ:
-        return int(os.environ[MAX_EQUATIONS_ENV])
+        raw = os.environ[MAX_EQUATIONS_ENV]
+        try:
+            return int(raw)
+        except ValueError:
+            raise InvalidInputError(
+                f"{MAX_EQUATIONS_ENV} must be an integer, got {raw!r}"
+            ) from None
     # the block 1 accounts for the three delta choices; an all-simple basis
     # propagates nothing but still needs the three closure equations
     return 3 ** max(1, len(propagated_blocks(basis)))
-
-
-def ambiguous_system(
-    basis: Basis, simples: SimpleSet, max_equations: int | None = None
-) -> EquationSystem:
-    """The possibly ambiguous equation system describing Av(basis).
-
-    Starts with the equation for the class (the closure restricted by the
-    non-simple basis elements) and adds an equation for every restriction
-    appearing on a right side only, until the system is complete.
-    """
-    cap = max_equations if max_equations is not None else equation_cap(basis)
-    blocks = propagated_blocks(basis)
-    root = restriction("", basis.b_star)
-    system = EquationSystem(simples.simples, root)
-    queue = [root]
-    seen = {root}
-    while queue:
-        lhs = queue.pop(0)
-        eq = eqn_for_class(lhs.delta, lhs.avoid, simples)
-        _check_block_invariant(eq, blocks)
-        system.equations[lhs] = eq
-        if len(system.equations) > cap:
-            raise EquationLimitError(
-                f"system exceeded {cap} equations; raise {MAX_EQUATIONS_ENV} to override"
-            )
-        for r in eq.rhs_restrictions():
-            if r not in seen:
-                seen.add(r)
-                queue.append(r)
-    return system
 
 
 def propagated_blocks(basis: Basis) -> set[Permutation]:

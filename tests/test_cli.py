@@ -182,3 +182,61 @@ def test_pattern_file_parsing(tmp_path):
     path.write_text("# comment\n3142\n\n3 1 4 2  # inline comment\n")
     pats = jsonio.read_patterns_file(str(path))
     assert pats == [P("3142"), P("3142")]
+
+
+def one_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "error:" in lines[0] and "Traceback" not in err
+    return lines[0]
+
+
+@pytest.fixture()
+def av21_spec(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec = ps.specification(ps.basis_of([P("21")]), ps.simple_set([]))
+    spec_path.write_text(jsonio.dumps_system(spec))
+    return spec_path
+
+
+def test_negative_sample_count_is_usage_error(av21_spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--spec", str(av21_spec), "--size", "5", "--count", "-1"])
+    assert exc.value.code == 2
+    assert "--count" in one_line(capsys.readouterr().err)
+
+
+def test_negative_heatmap_samples_is_usage_error(tmp_path, av21_spec, capsys):
+    csv_path = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["heatmap", "--spec", str(av21_spec), "--size", "5", "--samples", "-3",
+              "--out", str(csv_path)])
+    assert exc.value.code == 2
+    assert "--samples" in one_line(capsys.readouterr().err)
+    assert not csv_path.exists()
+
+
+def test_non_integer_equation_cap_is_domain_error(tmp_path, big_files, capsys, monkeypatch):
+    from permspec.system import MAX_EQUATIONS_ENV
+
+    basis, simples = big_files
+    monkeypatch.setenv(MAX_EQUATIONS_ENV, "abc")
+    code, _, err = run(
+        capsys, "specify", "--basis", str(basis), "--simples", str(simples),
+        "--out", str(tmp_path / "spec.json"),
+    )
+    assert code == 1
+    assert MAX_EQUATIONS_ENV in one_line(err)
+
+
+@pytest.mark.parametrize("missing", ["--spec", "--basis", "--simples"])
+def test_missing_input_file_is_domain_error(tmp_path, big_files, capsys, missing):
+    basis, simples = big_files
+    absent, out = str(tmp_path / "absent.txt"), str(tmp_path / "spec.json")
+    argv = {
+        "--spec": ["count", "--spec", absent, "-N", "5"],
+        "--basis": ["specify", "--basis", absent, "--simples", str(simples), "--out", out],
+        "--simples": ["specify", "--basis", str(basis), "--simples", absent, "--out", out],
+    }[missing]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "absent.txt" in one_line(err)

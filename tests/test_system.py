@@ -153,8 +153,8 @@ def test_add_constraints_matches_naive_product(root, g):
     assert set(ps.add_constraints(t, P(g))) == set(prune_terms(tuple(naive)))
 
 
-def test_eqn_for_class_single_1243(big_simples):
-    eq = ps.eqn_for_class("", [P("1243")], big_simples)
+def test_eqn_for_restriction_avoid_only_1243(big_simples):
+    eq = ps.eqn_for_restriction("", [P("1243")], (), big_simples)
     assert eq.has_one and not eq.disjoint
     assert term_strs(eq) == {
         "plus[C+<12>, C<132>]",
@@ -165,8 +165,8 @@ def test_eqn_for_class_single_1243(big_simples):
     }
 
 
-def test_eqn_for_class_both_big_patterns(big_simples):
-    eq = ps.eqn_for_class("", [P("1243"), P("2341")], big_simples)
+def test_eqn_for_restriction_avoid_only_both_big_patterns(big_simples):
+    eq = ps.eqn_for_restriction("", [P("1243"), P("2341")], (), big_simples)
     assert term_strs(eq) == {
         "plus[C+<1243,2341>, C<21>]",
         "plus[C+<12>, C<132,2341>]",
@@ -175,8 +175,8 @@ def test_eqn_for_class_both_big_patterns(big_simples):
     }
 
 
-def test_eqn_for_class_21():
-    eq = ps.eqn_for_class("", [P("21")], ps.simple_set([]))
+def test_eqn_for_restriction_avoid_only_21():
+    eq = ps.eqn_for_restriction("", [P("21")], (), ps.simple_set([]))
     assert term_strs(eq) == {"plus[C+<21>, C<21>]"}
 
 
