@@ -70,7 +70,7 @@ from .restrictions import (
     subset_sufficient,
     term,
 )
-from .sampler import build_tables, derivation_probability, sample, sample_many
+from .sampler import build_tables, derivation_probability, heatmap, sample, sample_many
 from .system import (
     Basis,
     EquationSystem,

@@ -2,8 +2,9 @@
 
 Subcommands: specify, ambiguous, count, sample, heatmap, and the oracle
 group (enumerate, simples, audit).  Exit status 0 on success, 1 on a domain
-error (trivial class, exceeded caps, impossible sizes, unreadable files), 2 on
-usage errors; either way the error is one line on standard error.
+error (trivial class, malformed specification, impossible sizes, unreadable
+files), 2 on usage errors; either way the error is one line on standard
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .oracle import (
     simples_in_class,
 )
 from .perms import sort_key
-from .sampler import build_tables, sample
+from .sampler import build_tables, heatmap, sample
 from .system import basis_of, simple_set
 
 
@@ -209,22 +210,10 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def heatmap(tables, size: int, samples: int, seed: int) -> list[list[int]]:
-    """Matrix H with H[x][y] = number of samples whose value at position
-    x+1 is y+1; every row and column sums to the sample count."""
-    rng = random.Random(seed)
-    grid = [[0] * size for _ in range(size)]
-    for _ in range(samples):
-        p = sample(tables, size, rng)
-        for x, y in enumerate(p.values):
-            grid[x][y - 1] += 1
-    return grid
-
-
 def _cmd_heatmap(args) -> int:
     system = _read_system(args.spec)
     tables = build_tables(system, args.size)
-    grid = heatmap(tables, args.size, args.samples, args.seed)
+    grid = heatmap(tables, args.size, args.samples, random.Random(args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in grid:
             fh.write(",".join(str(v) for v in row) + "\n")

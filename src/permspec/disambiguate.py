@@ -20,7 +20,7 @@ import itertools
 from typing import Callable
 
 from .embeddings import all_embeddings
-from .errors import EquationLimitError, InvalidInputError
+from .errors import InvalidInputError
 from .perms import Permutation, sort_key
 from .restrictions import (
     Equation,
@@ -35,7 +35,6 @@ from .restrictions import (
     term_subset_sufficient,
 )
 from .system import (
-    MAX_EQUATIONS_ENV,
     Basis,
     EquationSystem,
     SimpleSet,
@@ -43,7 +42,6 @@ from .system import (
     add_constraints,
     closure_equation,
     distinct_roots,
-    equation_cap,
     fold,
     propagated_blocks,
     prune_terms,
@@ -180,39 +178,40 @@ def suspect_empty_terms(eq: Equation) -> tuple[RestrictionTerm, ...]:
     return tuple(out)
 
 
-def ambiguous_system(
-    basis: Basis, simples: SimpleSet, max_equations: int | None = None
-) -> EquationSystem:
+def ambiguous_system(basis: Basis, simples: SimpleSet) -> EquationSystem:
     """The possibly ambiguous equation system describing Av(basis).
 
     Starts with the equation for the class (the closure restricted by the
     non-simple basis elements) and adds an equation for every restriction
     appearing on a right side only, until the system is complete.
     """
-    return _build_system(basis, simples, max_equations, lambda eq: eq)
+    return _build_system(basis, simples, lambda eq: eq)
 
 
-def specification(
-    basis: Basis, simples: SimpleSet, max_equations: int | None = None
-) -> EquationSystem:
+def specification(basis: Basis, simples: SimpleSet) -> EquationSystem:
     """A combinatorial specification (disjoint equation system) for Av(basis).
 
     Same driver as the ambiguous system, with every equation disambiguated as
     it is produced; complements introduce restrictions with mandatory
     patterns, which receive their own equations in turn.
     """
-    return _build_system(basis, simples, max_equations, disambiguate)
+    return _build_system(basis, simples, disambiguate)
 
 
 def _build_system(
     basis: Basis,
     simples: SimpleSet,
-    max_equations: int | None,
     finish: Callable[[Equation], Equation],
 ) -> EquationSystem:
     """The worklist: build, finish and record the equation of each restriction
-    in the order it first appears, starting from the class itself."""
-    cap = max_equations if max_equations is not None else equation_cap(basis)
+    in the order it first appears, starting from the class itself.
+
+    It terminates: every constraint is one of the blocks B of the non-simple
+    basis elements (checked per equation), and pruning keeps provably empty
+    restrictions off right-hand sides, so 1 is never a constraint.  Every
+    restriction is thus a delta and, per block other than 1, avoided,
+    required or free: at most 3^|B| of them, or 3 when B is empty.
+    """
     blocks = propagated_blocks(basis)
     root = restriction("", basis.b_star)
     system = EquationSystem(simples.simples, root)
@@ -223,10 +222,6 @@ def _build_system(
         eq = finish(eqn_for_restriction(lhs.delta, lhs.avoid, lhs.contain, simples))
         _check_block_invariant(eq, blocks)
         system.equations[lhs] = eq
-        if len(system.equations) > cap:
-            raise EquationLimitError(
-                f"system exceeded {cap} equations; raise {MAX_EQUATIONS_ENV} to override"
-            )
         for r in eq.rhs_restrictions():
             if r not in seen:
                 seen.add(r)

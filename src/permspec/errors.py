@@ -25,10 +25,6 @@ class NotAntichainError(PermspecError, ValueError):
     """Basis patterns are comparable under the containment order."""
 
 
-class EquationLimitError(PermspecError, RuntimeError):
-    """System construction exceeded the configured equation cap."""
-
-
 class NonDisjointSystemError(PermspecError, ValueError):
     """Operation requires a disjoint (unambiguous) equation system."""
 

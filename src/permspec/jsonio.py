@@ -22,7 +22,6 @@ a system always produces the same bytes.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .errors import InvalidInputError
 from .perms import MINUS, PLUS, Permutation, perm
@@ -74,33 +73,55 @@ def system_to_obj(system: EquationSystem) -> dict:
     }
 
 
-def system_from_obj(obj: dict) -> EquationSystem:
-    simples = tuple(Permutation(tuple(v)) for v in obj["closure_simples"])
+def system_from_obj(obj) -> EquationSystem:
+    """The system a JSON object describes; InvalidInputError names the first
+    missing or mistyped field."""
+    simples = tuple(_perm_from_obj(v) for v in _field(obj, "closure_simples", list))
+    eobjs = _field(obj, "equations", list)
+    if not eobjs:
+        raise InvalidInputError("system JSON has no equations")
     lhss = []
-    for eobj in obj["equations"]:
-        lo = eobj["lhs"]
+    for eobj in eobjs:
+        lo = _field(eobj, "lhs", dict)
         lhss.append(
             restriction(
-                lo["delta"],
-                [Permutation(tuple(v)) for v in lo["avoid"]],
-                [Permutation(tuple(v)) for v in lo["contain"]],
+                _field(lo, "delta", str),
+                [_perm_from_obj(v) for v in _field(lo, "avoid", list)],
+                [_perm_from_obj(v) for v in _field(lo, "contain", list)],
             )
         )
     by_key = {restriction_key(r): r for r in lhss}
-    system = EquationSystem(simples, lhss[0] if lhss else restriction(""))
-    for lhs, eobj in zip(lhss, obj["equations"]):
+    system = EquationSystem(simples, lhss[0])
+    for lhs, eobj in zip(lhss, eobjs):
         terms = []
-        for tobj in eobj["terms"]:
-            robj = tobj["root"]
-            root = PLUS if robj == "plus" else MINUS if robj == "minus" else Permutation(tuple(robj))
+        for tobj in _field(eobj, "terms", list):
+            robj = _field(tobj, "root", (str, list))
+            root = PLUS if robj == "plus" else MINUS if robj == "minus" else _perm_from_obj(robj)
             children = []
-            for key in tobj["children"]:
-                if key not in by_key:
-                    raise InvalidInputError(f"child {key} is not defined by any equation")
+            for key in _field(tobj, "children", list):
+                if not isinstance(key, str) or key not in by_key:
+                    raise InvalidInputError(f"child {key!r} is not defined by any equation")
                 children.append(by_key[key])
             terms.append(RestrictionTerm(root, tuple(children)))
-        system.equations[lhs] = Equation(lhs, eobj["has_one"], tuple(terms), eobj["disjoint"])
+        system.equations[lhs] = Equation(
+            lhs, _field(eobj, "has_one", bool), tuple(terms), _field(eobj, "disjoint", bool)
+        )
     return system
+
+
+def _field(obj, name: str, kind: type | tuple[type, ...]):
+    if not isinstance(obj, dict) or name not in obj:
+        raise InvalidInputError(f"system JSON: missing field {name!r}")
+    value = obj[name]
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"system JSON: field {name!r} has the wrong type")
+    return value
+
+
+def _perm_from_obj(v) -> Permutation:
+    if not isinstance(v, list) or not all(type(x) is int for x in v):
+        raise InvalidInputError(f"system JSON: {v!r} is not a list of integers")
+    return Permutation(tuple(v))
 
 
 def dumps_system(system: EquationSystem) -> str:
@@ -108,7 +129,11 @@ def dumps_system(system: EquationSystem) -> str:
 
 
 def loads_system(text: str) -> EquationSystem:
-    return system_from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise InvalidInputError(f"system file is not JSON: {exc}") from None
+    return system_from_obj(obj)
 
 
 def parse_perm_text(text: str) -> Permutation:
@@ -132,7 +157,3 @@ def read_patterns_text(text: str) -> list[Permutation]:
 def read_patterns_file(path: str) -> list[Permutation]:
     with open(path, encoding="utf-8") as fh:
         return read_patterns_text(fh.read())
-
-
-def format_perms(perms: Iterable[Permutation]) -> str:
-    return "\n".join(str(p) for p in perms)

@@ -17,7 +17,7 @@ from .perms import (
     MINUS,
     PLUS,
     Permutation,
-    cached_contains,
+    contains,
     decompose,
     in_closure,
     is_minus_decomposable,
@@ -30,9 +30,7 @@ from .system import EquationSystem
 
 
 def _avoids_all(p: Permutation, patterns: Sequence[Permutation]) -> bool:
-    return not any(
-        len(b) <= len(p) and cached_contains(p.values, b.values) for b in patterns
-    )
+    return not any(len(b) <= len(p) and contains(p, b) for b in patterns)
 
 
 def _grow(members: list[Permutation], size: int) -> Iterable[Permutation]:
@@ -110,9 +108,9 @@ def member_of_restriction(
         return False
     if r.delta == "-" and is_minus_decomposable(sigma):
         return False
-    return all(
-        not cached_contains(sigma.values, e.values) for e in r.avoid
-    ) and all(cached_contains(sigma.values, a.values) for a in r.contain)
+    return not any(contains(sigma, e) for e in r.avoid) and all(
+        contains(sigma, a) for a in r.contain
+    )
 
 
 def semantic_empty_probe(
@@ -171,9 +169,9 @@ class _Denotations:
                         r.delta == "-" and root == MINUS
                     ):
                         continue
-                if any(cached_contains(p.values, e.values) for e in r.avoid):
+                if any(contains(p, e) for e in r.avoid):
                     continue
-                if all(cached_contains(p.values, a.values) for a in r.contain):
+                if all(contains(p, a) for a in r.contain):
                     out.append(p)
             self._cache[key] = frozenset(out)
         return self._cache[key]

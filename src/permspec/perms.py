@@ -20,7 +20,7 @@ from .errors import DecompositionError, InvalidInputError, InvalidPermutationErr
 Interval = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     values: tuple[int, ...]
 
@@ -107,8 +107,10 @@ def occurrences(host: Permutation, patt: Permutation) -> set[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=1 << 20)
 def contains(host: Permutation, patt: Permutation) -> bool:
-    """Whether patt occurs as a (classical) pattern of host."""
+    """Whether patt occurs as a (classical) pattern of host; memoized, since
+    the restriction algebra and the oracle ask about the same pairs often."""
     for _ in _occurrence_search(host.values, patt.values, find_all=False):
         return True
     return False
@@ -204,16 +206,22 @@ def generalized_substitute(root: Permutation, blocks: Sequence[Permutation]) -> 
     n = len(root)
     if len(blocks) != n:
         raise InvalidInputError(f"expected {n} blocks, got {len(blocks)}")
-    sizes = [len(b) for b in blocks]
-    offsets = [0] * n
-    acc = 0
-    for i in sorted(range(n), key=lambda i: root.values[i]):
-        offsets[i] = acc
-        acc += sizes[i]
+    offsets = inflation_offsets(root, [len(b) for b in blocks])
     out: list[int] = []
     for i in range(n):
         out.extend(v + offsets[i] for v in blocks[i].values)
     return Permutation(tuple(out))
+
+
+def inflation_offsets(root: Permutation, sizes: Sequence[int]) -> list[int]:
+    """Value offset of each block of an inflation of root by blocks of the
+    given sizes: the total size of the blocks at smaller root values."""
+    offsets = [0] * len(sizes)
+    acc = 0
+    for i in sorted(range(len(sizes)), key=root.values.__getitem__):
+        offsets[i] = acc
+        acc += sizes[i]
+    return offsets
 
 
 def is_plus_decomposable(p: Permutation) -> bool:
@@ -369,9 +377,3 @@ def _closure_check(p: Permutation, allowed: set[Permutation]) -> bool:
     if root not in (PLUS, MINUS) and root not in allowed:
         return False
     return all(_closure_check(c, allowed) for c in children)
-
-
-@lru_cache(maxsize=1 << 20)
-def cached_contains(host_values: tuple[int, ...], patt_values: tuple[int, ...]) -> bool:
-    """Memoized containment test on raw value tuples (hot path for oracles)."""
-    return contains(Permutation(host_values), Permutation(patt_values))

@@ -8,6 +8,13 @@ The tables are the counting pass's own output: the counts, and every term's
 prefix products, which weight the split of a term's size among its children
 drawn right to left.  Tables are immutable after build and safe to share
 between samplers.
+
+A draw is one walk down the derivation, children left to right.  Every node
+knows the positions and values it will occupy in the output: its first
+position follows from the sizes of its left siblings and its value offset
+from the sizes of the siblings at smaller root values.  An atom writes its
+value in place, so the derivation tree is never stored and the only
+permutation built is the result.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Protocol
 from .counting import _solve
 from .errors import InvalidInputError, SampleError
 from .oracle import member_of_restriction
-from .perms import ONE, Permutation, decompose, substitute
+from .perms import Permutation, decompose, inflation_offsets
 from .restrictions import Restriction, RestrictionTerm
 from .system import EquationSystem
 
@@ -54,38 +61,32 @@ def sample(tables: SamplingTables, n: int, rng: IntegerSource) -> Permutation:
         raise InvalidInputError(f"size {n} outside table range 1..{tables.limit}")
     if tables.counts[tables.system.root][n] == 0:
         raise SampleError(f"the class has no permutation of size {n}")
-    root_node = _Node(tables.system.root, n)
-    stack = [root_node]
+    values = [0] * n
+    # (restriction, size, first position, value offset) of each pending node
+    stack = [(tables.system.root, n, 0, 0)]
     while stack:
-        node = stack.pop()
-        eq = tables.system.equations[node.key]
-        r = rng.randrange(tables.counts[node.key][node.size])
-        if eq.has_one and node.size == 1:
+        key, size, pos, offset = stack.pop()
+        eq = tables.system.equations[key]
+        r = rng.randrange(tables.counts[key][size])
+        if eq.has_one and size == 1:
             if r < 1:
+                values[pos] = offset + 1
                 continue
             r -= 1
-        for t, prefix in zip(eq.terms, tables.prefixes[node.key]):
-            w = prefix[-1][node.size]
+        for t, prefix in zip(eq.terms, tables.prefixes[key]):
+            w = prefix[-1][size]
             if r < w:
-                sizes = _draw_sizes(tables.counts, t, prefix, node.size, rng)
-                node.root = t.root
-                node.children = [_Node(child, s) for child, s in zip(t.children, sizes)]
-                stack.extend(reversed(node.children))
+                sizes = _draw_sizes(tables.counts, t, prefix, size, rng)
+                children = []
+                for child, s, o in zip(t.children, sizes, inflation_offsets(t.root, sizes)):
+                    children.append((child, s, pos, offset + o))
+                    pos += s
+                stack.extend(reversed(children))
                 break
             r -= w
         else:
             raise AssertionError("counts admitted a size with no derivation")
-    return _assemble(root_node)
-
-
-class _Node:
-    __slots__ = ("key", "size", "root", "children")
-
-    def __init__(self, key: Restriction, size: int):
-        self.key = key
-        self.size = size
-        self.root: Permutation | None = None
-        self.children: list[_Node] = []
+    return Permutation(tuple(values))
 
 
 def _draw_sizes(
@@ -119,27 +120,18 @@ def _draw_sizes(
     return sizes
 
 
-def _assemble(root: _Node) -> Permutation:
-    """Iterative post-order reconstruction through substitution."""
-    values: dict[int, Permutation] = {}
-    stack: list[tuple[_Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not node.children:
-            values[id(node)] = ONE
-        elif expanded:
-            assert node.root is not None
-            values[id(node)] = substitute(
-                node.root, [values[id(c)] for c in node.children]
-            )
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
-    return values[id(root)]
-
-
 def sample_many(tables: SamplingTables, n: int, count: int, rng: IntegerSource) -> list[Permutation]:
     return [sample(tables, n, rng) for _ in range(count)]
+
+
+def heatmap(tables: SamplingTables, n: int, count: int, rng: IntegerSource) -> list[list[int]]:
+    """Matrix H with H[x][y] = number of samples whose value at position
+    x+1 is y+1; every row and column sums to the sample count."""
+    grid = [[0] * n for _ in range(n)]
+    for _ in range(count):
+        for x, y in enumerate(sample(tables, n, rng).values):
+            grid[x][y - 1] += 1
+    return grid
 
 
 def derivation_probability(

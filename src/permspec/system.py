@@ -11,7 +11,6 @@ disambiguated, lives in the disambiguate module.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,14 +32,10 @@ from .restrictions import (
     Restriction,
     RestrictionTerm,
     intersect_restrictions,
-    provably_empty,
     restriction,
-    subset_sufficient,
     term_provably_empty,
     term_subset_sufficient,
 )
-
-MAX_EQUATIONS_ENV = "PERMSPEC_MAX_EQUATIONS"
 
 
 @dataclass(frozen=True)
@@ -178,8 +173,8 @@ def add_constraints(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm
     blocked by some child avoiding its assigned block.  Each way of choosing
     one blocking child per embedding contributes a term whose children carry
     the corresponding blocks as new forbidden patterns.  Choices are explored
-    incrementally, discarding vectors provably empty or provably included in
-    another, which never changes the union.
+    one embedding at a time, pruning the terms after each, which never
+    changes the union.
     """
     if len(g) <= 1:
         raise InvalidInputError("avoided pattern must have size at least 2")
@@ -187,28 +182,17 @@ def add_constraints(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm
     if any(not cands for _, cands in per_embedding):
         return ()
     per_embedding.sort(key=lambda ec: (len(ec[1]), ec[0].sort_token()))
-    vectors: list[tuple[Restriction, ...]] = [t.children]
+    terms = (t,)
     for emb, cands in per_embedding:
-        nxt: dict[tuple[Restriction, ...], None] = {}
-        for vec in vectors:
+        nxt: dict[RestrictionTerm, None] = {}
+        for u in terms:
             for k in cands:
-                child = intersect_restrictions(
-                    vec[k - 1], restriction(vec[k - 1].delta, (emb.block(k),))
-                )
-                nxt.setdefault(vec[: k - 1] + (child,) + vec[k:])
-        vectors = _prune_vectors(list(nxt))
-    return prune_terms(tuple(RestrictionTerm(t.root, vec) for vec in vectors))
-
-
-def _prune_vectors(vectors: list[tuple[Restriction, ...]]) -> list[tuple[Restriction, ...]]:
-    live = [v for v in vectors if not any(provably_empty(c) for c in v)]
-    kept: list[tuple[Restriction, ...]] = []
-    for v in live:
-        if any(all(subset_sufficient(a, b) for a, b in zip(v, w)) for w in kept):
-            continue
-        kept = [w for w in kept if not all(subset_sufficient(a, b) for a, b in zip(w, v))]
-        kept.append(v)
-    return kept
+                children = list(u.children)
+                c = children[k - 1]
+                children[k - 1] = intersect_restrictions(c, restriction(c.delta, (emb.block(k),)))
+                nxt.setdefault(RestrictionTerm(t.root, tuple(children)))
+        terms = prune_terms(tuple(nxt))
+    return terms
 
 
 def prune_terms(terms: tuple[RestrictionTerm, ...]) -> tuple[RestrictionTerm, ...]:
@@ -245,22 +229,6 @@ def distinct_roots(terms) -> bool:
     """Terms with pairwise distinct roots are disjoint by the uniqueness of
     the decomposition, no matter how they were built."""
     return len({t.root for t in terms}) == len(terms)
-
-
-def equation_cap(basis: Basis, default_from_env: bool = True) -> int:
-    """Hard cap on system size: one equation per (delta, avoid, contain)
-    triple over the normalized blocks of the propagated basis elements."""
-    if default_from_env and MAX_EQUATIONS_ENV in os.environ:
-        raw = os.environ[MAX_EQUATIONS_ENV]
-        try:
-            return int(raw)
-        except ValueError:
-            raise InvalidInputError(
-                f"{MAX_EQUATIONS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    # the block 1 accounts for the three delta choices; an all-simple basis
-    # propagates nothing but still needs the three closure equations
-    return 3 ** max(1, len(propagated_blocks(basis)))
 
 
 def propagated_blocks(basis: Basis) -> set[Permutation]:

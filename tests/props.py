@@ -13,7 +13,7 @@ import random
 import permspec as ps
 from permspec.disambiguate import _disambiguate_group
 from permspec.oracle import _Denotations, closure_members
-from permspec.perms import cached_contains, is_minus_decomposable, is_plus_decomposable, perm
+from permspec.perms import is_minus_decomposable, is_plus_decomposable, perm
 from permspec.restrictions import RestrictionTerm, restriction
 
 
@@ -282,7 +282,7 @@ def check_add_constraints_semantics(nmax=8, gmax=4, simples=("3142",)):
                 for p in den.closure[n]:
                     if den.split(p)[0] != t.root:
                         continue
-                    in_lhs = term_hit(den, t, p) and not cached_contains(p.values, g.values)
+                    in_lhs = term_hit(den, t, p) and not ps.contains(p, g)
                     in_union = any(term_hit(den, u, p) for u in rewritten)
                     assert in_lhs == in_union, (t, g, p)
 
@@ -306,7 +306,7 @@ def check_add_mandatory_semantics(nmax=7, gmax=4, simples=("3142",)):
                 for p in den.closure[n]:
                     if den.split(p)[0] != t.root:
                         continue
-                    in_lhs = term_hit(den, t, p) and cached_contains(p.values, g.values)
+                    in_lhs = term_hit(den, t, p) and ps.contains(p, g)
                     in_union = any(term_hit(den, u, p) for u in rewritten)
                     assert in_lhs == in_union, (t, g, p)
 

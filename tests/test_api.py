@@ -13,13 +13,14 @@ PUBLIC = [
     "coefficients", "complement_restriction", "complement_term", "contains",
     "counting", "decompose", "decomposition_tree", "derivation_probability",
     "disambiguate", "embeddings", "embeddings_for", "enumerate_class",
-    "eqn_for_restriction", "errors", "generalized_substitute", "in_closure",
-    "intersect_restrictions", "intersect_terms", "intervals_from",
-    "is_empty_sufficient", "is_simple", "member_of_restriction", "normalize",
-    "occurrences", "oracle", "perm", "perms", "quadratic_residual",
-    "restriction", "restrictions", "sample", "sample_many", "sampler",
-    "simple_set", "simples_in_class", "specification", "subset_sufficient",
-    "substitute", "substitution_closed_spec", "system", "term", "to_gf_system",
+    "eqn_for_restriction", "errors", "generalized_substitute", "heatmap",
+    "in_closure", "intersect_restrictions", "intersect_terms",
+    "intervals_from", "is_empty_sufficient", "is_simple",
+    "member_of_restriction", "normalize", "occurrences", "oracle", "perm",
+    "perms", "quadratic_residual", "restriction", "restrictions", "sample",
+    "sample_many", "sampler", "simple_set", "simples_in_class",
+    "specification", "subset_sufficient", "substitute",
+    "substitution_closed_spec", "system", "term", "to_gf_system",
 ]
 
 

@@ -215,19 +215,6 @@ def test_negative_heatmap_samples_is_usage_error(tmp_path, av21_spec, capsys):
     assert not csv_path.exists()
 
 
-def test_non_integer_equation_cap_is_domain_error(tmp_path, big_files, capsys, monkeypatch):
-    from permspec.system import MAX_EQUATIONS_ENV
-
-    basis, simples = big_files
-    monkeypatch.setenv(MAX_EQUATIONS_ENV, "abc")
-    code, _, err = run(
-        capsys, "specify", "--basis", str(basis), "--simples", str(simples),
-        "--out", str(tmp_path / "spec.json"),
-    )
-    assert code == 1
-    assert MAX_EQUATIONS_ENV in one_line(err)
-
-
 @pytest.mark.parametrize("missing", ["--spec", "--basis", "--simples"])
 def test_missing_input_file_is_domain_error(tmp_path, big_files, capsys, missing):
     basis, simples = big_files
@@ -240,3 +227,24 @@ def test_missing_input_file_is_domain_error(tmp_path, big_files, capsys, missing
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert "absent.txt" in one_line(err)
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ("{}", "closure_simples"),
+        ("not json at all\n", "not JSON"),
+        ('{"closure_simples": [], "equations": "C<>"}', "equations"),
+        (
+            '{"closure_simples": [], "equations": [{"lhs": {"delta": "", "avoid": [[2, 1]], '
+            '"contain": []}, "has_one": "yes", "disjoint": true, "terms": []}]}',
+            "has_one",
+        ),
+    ],
+)
+def test_malformed_spec_is_domain_error(tmp_path, capsys, text, field):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    code, _, err = run(capsys, "count", "--spec", str(spec_path), "-N", "5")
+    assert code == 1
+    assert field in one_line(err)

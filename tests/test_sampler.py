@@ -95,3 +95,38 @@ def test_sampling_large_size_runs():
     tables = ps.build_tables(spec, 120)
     p = ps.sample(tables, 120, random.Random(5))
     assert len(p) == 120
+
+
+# First draws for fixed seeds, recorded before the sampler wrote values in
+# place; they pin both the order the walk consumes the source and where it
+# puts every block.
+PINNED_FIVE_ROOT_60 = [
+    "54 53 52 51 50 57 56 55 48 43 42 46 45 44 41 37 40 39 38 36 32 33 29 28 26 30 27 25 21 "
+    "23 22 17 19 18 16 7 8 5 6 3 1 4 2 9 10 11 12 13 14 15 20 24 31 34 35 47 49 58 59 60",
+    "60 59 57 56 58 54 52 51 50 49 53 48 45 46 43 41 39 36 35 34 38 37 31 28 27 29 26 25 24 "
+    "23 18 20 19 15 14 12 10 13 11 9 8 1 7 6 4 2 3 5 16 17 21 22 30 32 33 40 42 44 47 55",
+    "60 59 53 58 57 56 55 54 49 51 50 47 46 45 43 44 37 41 40 39 38 32 31 34 33 29 30 28 27 "
+    "24 25 20 19 18 22 21 17 16 15 1 14 13 10 11 9 5 4 2 3 6 7 8 12 23 26 35 36 42 48 52",
+]
+PINNED_SEPARABLE_40 = [
+    "1 2 3 4 23 26 27 33 30 29 32 31 28 25 39 38 40 34 37 35 36 24 22 21 10 11 8 9 15 17 16 "
+    "14 13 12 18 19 7 20 6 5",
+    "2 31 3 30 4 25 5 7 11 19 17 16 18 13 14 12 15 22 20 21 23 24 8 9 10 6 27 26 28 29 1 39 "
+    "38 40 32 35 34 36 33 37",
+    "4 3 2 34 5 6 14 27 23 21 22 24 26 25 17 18 19 20 28 32 30 29 31 16 33 15 13 9 10 7 8 11 "
+    "12 35 38 37 40 39 36 1",
+]
+
+
+def test_pinned_draws():
+    five_root = ps.specification(
+        ps.basis_of([P("1243"), P("2341"), P("2413"), P("531642")]),
+        ps.simple_set([P("3142"), P("41352")]),
+    )
+    separable = ps.substitution_closed_spec(ps.simple_set([]))
+    for spec, n, want in (
+        (five_root, 60, PINNED_FIVE_ROOT_60),
+        (separable, 40, PINNED_SEPARABLE_40),
+    ):
+        got = ps.sample_many(ps.build_tables(spec, n), n, 3, random.Random(7))
+        assert [str(p) for p in got] == want

@@ -4,13 +4,12 @@ import pytest
 
 import permspec as ps
 from permspec.errors import (
-    EquationLimitError,
     InvalidInputError,
     NotAntichainError,
     TrivialClassError,
 )
-from permspec.restrictions import RestrictionTerm, restriction
-from permspec.system import embedding_candidates, prune_terms
+from permspec.restrictions import RestrictionTerm, provably_empty, restriction
+from permspec.system import embedding_candidates, propagated_blocks, prune_terms
 from props import check_add_constraints_semantics, check_system_structure
 
 P = ps.perm
@@ -211,17 +210,21 @@ def test_ambiguous_system_substitution_closed_basis():
     assert str(system.root) == "C<>"
 
 
-def test_equation_cap_enforced(big_basis, big_simples):
-    with pytest.raises(EquationLimitError):
-        ps.ambiguous_system(big_basis, big_simples, max_equations=3)
-
-
-def test_equation_cap_env_override(big_basis, monkeypatch):
-    from permspec.system import MAX_EQUATIONS_ENV, equation_cap
-
-    assert equation_cap(big_basis) == 3 ** 7
-    monkeypatch.setenv(MAX_EQUATIONS_ENV, "5000")
-    assert equation_cap(big_basis) == 5000
+def test_system_size_within_block_bound(av132_basis, sep_subclass_basis, big_basis, big_simples):
+    """Every constraint is a block of a propagated basis element and no key is
+    provably empty, so a system has at most 3^|B| equations (3 when B is
+    empty: the closure's own three)."""
+    separable = ps.basis_of([P("2413"), P("3142")])
+    for basis, simples in (
+        (av132_basis, ps.simple_set([])),
+        (sep_subclass_basis, ps.simple_set([])),
+        (big_basis, big_simples),
+        (separable, ps.simple_set([])),
+    ):
+        bound = 3 ** max(1, len(propagated_blocks(basis)))
+        for system in (ps.ambiguous_system(basis, simples), ps.specification(basis, simples)):
+            assert not any(provably_empty(r) for r in system.equations)
+            assert len(system) <= bound
 
 
 def test_add_constraints_semantics_small():
