@@ -37,16 +37,10 @@ from .perms import (
     MINUS,
     ONE,
     PLUS,
-    DecompositionTree,
-    Leaf,
-    Minus,
     Permutation,
-    Plus,
-    Prime,
     avoids,
     contains,
     decompose,
-    decomposition_tree,
     generalized_substitute,
     in_closure,
     intervals_from,
@@ -60,7 +54,6 @@ from .restrictions import (
     Equation,
     Restriction,
     RestrictionTerm,
-    canonicalize,
     complement_restriction,
     complement_term,
     intersect_restrictions,

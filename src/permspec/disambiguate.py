@@ -21,12 +21,11 @@ from typing import Callable
 
 from .embeddings import all_embeddings
 from .errors import InvalidInputError
-from .perms import Permutation, sort_key
+from .perms import Permutation
 from .restrictions import (
     Equation,
     RestrictionTerm,
     complement_term,
-    intersect_restrictions,
     intersect_terms,
     provably_empty,
     restriction,
@@ -63,9 +62,8 @@ def add_mandatory(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm, 
         for k in range(1, len(t.root) + 1):
             block = emb.block(k)
             if len(block) >= 2:
-                children[k - 1] = intersect_restrictions(
-                    children[k - 1], restriction(children[k - 1].delta, (), (block,))
-                )
+                c = children[k - 1]
+                children[k - 1] = restriction(c.delta, c.avoid, c.contain + (block,))
         out.append(RestrictionTerm(t.root, tuple(children)))
     return prune_terms(tuple(out))
 
@@ -81,9 +79,9 @@ def eqn_for_restriction(delta: str, avoid, contain, simples: SimpleSet) -> Equat
     if provably_empty(lhs):
         return Equation(lhs, False, (), disjoint=True)
     terms = closure_equation(delta, simples).terms
-    for g in sorted(lhs.avoid, key=sort_key):
+    for g in lhs.avoid:
         terms = fold(terms, add_constraints, g)
-    for g in sorted(lhs.contain, key=sort_key):
+    for g in lhs.contain:
         terms = fold(terms, add_mandatory, g)
     return Equation(lhs, not lhs.contain, terms, disjoint=distinct_roots(terms))
 

@@ -21,11 +21,19 @@ a system always produces the same bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .errors import InvalidInputError
 from .perms import MINUS, PLUS, Permutation, perm
-from .restrictions import Equation, Restriction, RestrictionTerm, restriction
+from .restrictions import (
+    Equation,
+    Restriction,
+    RestrictionTerm,
+    intersect_terms,
+    restriction,
+    term_provably_empty,
+)
 from .system import EquationSystem
 
 
@@ -103,10 +111,29 @@ def system_from_obj(obj) -> EquationSystem:
                     raise InvalidInputError(f"child {key!r} is not defined by any equation")
                 children.append(by_key[key])
             terms.append(RestrictionTerm(root, tuple(children)))
-        system.equations[lhs] = Equation(
+        eq = Equation(
             lhs, _field(eobj, "has_one", bool), tuple(terms), _field(eobj, "disjoint", bool)
         )
+        if eq.disjoint:
+            _certify_disjoint(eq)
+        system.equations[lhs] = eq
     return system
+
+
+def _certify_disjoint(eq: Equation) -> None:
+    """Refuse a disjoint flag the restriction algebra cannot prove.
+
+    Terms with distinct roots are disjoint by the uniqueness of the
+    decomposition, and the atom is the only part of size 1, so only pairs of
+    same-root terms need a provably empty intersection.
+    """
+    for t1, t2 in itertools.combinations(eq.terms, 2):
+        meet = intersect_terms(t1, t2)
+        if meet is not None and not term_provably_empty(meet):
+            raise InvalidInputError(
+                f"equation [{eq.lhs}] is marked disjoint, but its terms {t1} and {t2} "
+                "may overlap"
+            )
 
 
 def _field(obj, name: str, kind: type | tuple[type, ...]):

@@ -120,10 +120,8 @@ def semantic_empty_probe(
 
     Not a proof of emptiness, only evidence; never used to rewrite systems.
     """
-    closure = closure_members(simples, bound)
-    return not any(
-        member_of_restriction(p, r, simples) for n in range(1, bound + 1) for p in closure[n]
-    )
+    den = _Denotations(simples, bound)
+    return not any(den.members(r, n) for n in range(1, bound + 1))
 
 
 @dataclass

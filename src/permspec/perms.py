@@ -300,80 +300,26 @@ def _maximal_interval_partition(p: Permutation) -> list[Interval]:
     return parts
 
 
-class DecompositionTree:
-    """Base class for decomposition tree nodes."""
-
-    def to_permutation(self) -> Permutation:
-        raise NotImplementedError
-
-    def size(self) -> int:
-        return len(self.to_permutation())
-
-
-@dataclass(frozen=True)
-class Leaf(DecompositionTree):
-    def to_permutation(self) -> Permutation:
-        return ONE
-
-
-@dataclass(frozen=True)
-class Plus(DecompositionTree):
-    left: DecompositionTree
-    right: DecompositionTree
-
-    def to_permutation(self) -> Permutation:
-        return substitute(PLUS, [self.left.to_permutation(), self.right.to_permutation()])
-
-
-@dataclass(frozen=True)
-class Minus(DecompositionTree):
-    left: DecompositionTree
-    right: DecompositionTree
-
-    def to_permutation(self) -> Permutation:
-        return substitute(MINUS, [self.left.to_permutation(), self.right.to_permutation()])
-
-
-@dataclass(frozen=True)
-class Prime(DecompositionTree):
-    simple: Permutation
-    children: tuple[DecompositionTree, ...]
-
-    def to_permutation(self) -> Permutation:
-        return substitute(self.simple, [c.to_permutation() for c in self.children])
-
-
-def decomposition_tree(p: Permutation) -> DecompositionTree:
-    """Full recursive decomposition of a non-empty permutation."""
-    if len(p) == 0:
-        raise DecompositionError("the empty permutation has no decomposition tree")
-    if len(p) == 1:
-        return Leaf()
-    root, children = decompose(p)
-    subtrees = tuple(decomposition_tree(c) for c in children)
-    if root == PLUS:
-        return Plus(subtrees[0], subtrees[1])
-    if root == MINUS:
-        return Minus(subtrees[0], subtrees[1])
-    return Prime(root, subtrees)
-
-
 def in_closure(p: Permutation, simples: Iterable[Permutation]) -> bool:
     """Whether every prime node of p's decomposition tree carries a
-    permutation from the given set of simple permutations."""
+    permutation from the given set of simple permutations.
+
+    The tree is walked with an explicit stack, so its depth (up to the size
+    of p) is not bounded by the interpreter's recursion limit.
+    """
     allowed = set(simples)
     for s in allowed:
         if not is_simple(s):
             raise InvalidInputError(f"{s} is not simple")
-    return _closure_check(p, allowed)
-
-
-def _closure_check(p: Permutation, allowed: set[Permutation]) -> bool:
     if len(p) == 0:
         raise DecompositionError("the empty permutation is not a class member")
-    if len(p) == 1:
-        return True
-    root, children = decompose(p)
-    if root not in (PLUS, MINUS) and root not in allowed:
-        return False
-    return all(_closure_check(c, allowed) for c in children)
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if len(q) == 1:
+            continue
+        root, children = decompose(q)
+        if root not in (PLUS, MINUS) and root not in allowed:
+            return False
+        stack.extend(children)
+    return True

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .perms import MINUS, ONE, PLUS, Permutation, contains, is_simple, sort_key
+from .perms import EMPTY, MINUS, ONE, PLUS, Permutation, contains, is_simple, sort_key
 
 DELTAS = ("", "+", "-")
 _DELTA_RANK = {"": 0, "+": 1, "-": 2}
@@ -60,21 +60,23 @@ class Restriction:
 
 
 def restriction(delta: str, avoid=(), contain=()) -> Restriction:
-    """Canonical restriction: sorted, minimal avoid set, maximal contain set."""
-    return canonicalize(Restriction(delta, _sorted_patterns(avoid), _sorted_patterns(contain)))
+    """The canonical restriction avoiding `avoid` and containing `contain`.
 
-
-def canonicalize(r: Restriction) -> Restriction:
-    """Reduce the constraint sets without changing the denoted set.
-
-    Avoiding a pattern makes avoiding anything above it redundant, so only
-    minimal avoided patterns are kept; dually only maximal contained patterns
-    are kept.  Containing 1 says nothing, so 1 is dropped from the contain
-    side; an avoided 1 stays (it marks the empty set).
+    Each side is deduplicated and sorted once, then reduced without changing
+    the denoted set.  Avoiding a pattern makes avoiding anything above it
+    redundant, so only minimal avoided patterns are kept; dually only maximal
+    contained patterns are kept.  Containing 1 says nothing, so 1 is dropped
+    from the contain side; an avoided 1 stays (it marks the empty set).
     """
-    avoid = _minima(_sorted_patterns(r.avoid))
-    contain = _maxima(_sorted_patterns(p for p in r.contain if p != ONE))
-    return Restriction(r.delta, avoid, contain)
+    contain = _sorted_patterns(contain)
+    # checked before the reduction, which would drop it below any other pattern
+    if EMPTY in contain:
+        raise InvalidInputError("the empty permutation may not constrain a restriction")
+    return Restriction(
+        delta,
+        _minima(_sorted_patterns(avoid)),
+        _maxima(tuple(p for p in contain if p != ONE)),
+    )
 
 
 def _minima(patterns: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
@@ -129,23 +131,16 @@ def complement_restriction(r: Restriction) -> tuple[Restriction, ...]:
     """
     tagged = [(p, "avoid") for p in r.avoid] + [(p, "contain") for p in r.contain]
     out = []
-    for flips in _subsets_by_size(range(len(tagged)), allow_empty=False):
-        avoid, contain = [], []
-        for idx, (p, side) in enumerate(tagged):
-            flipped = idx in flips
-            if (side == "avoid") != flipped:
-                avoid.append(p)
-            else:
-                contain.append(p)
-        out.append(restriction(r.delta, avoid, contain))
+    for size in range(1, len(tagged) + 1):
+        for flips in itertools.combinations(range(len(tagged)), size):
+            avoid, contain = [], []
+            for idx, (p, side) in enumerate(tagged):
+                if (side == "avoid") != (idx in flips):
+                    avoid.append(p)
+                else:
+                    contain.append(p)
+            out.append(restriction(r.delta, avoid, contain))
     return tuple(out)
-
-
-def _subsets_by_size(items, allow_empty: bool):
-    items = list(items)
-    lo = 0 if allow_empty else 1
-    for size in range(lo, len(items) + 1):
-        yield from (set(c) for c in itertools.combinations(items, size))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .restrictions import (
     Equation,
     Restriction,
     RestrictionTerm,
-    intersect_restrictions,
     restriction,
     term_provably_empty,
     term_subset_sufficient,
@@ -189,7 +188,7 @@ def add_constraints(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm
             for k in cands:
                 children = list(u.children)
                 c = children[k - 1]
-                children[k - 1] = intersect_restrictions(c, restriction(c.delta, (emb.block(k),)))
+                children[k - 1] = restriction(c.delta, c.avoid + (emb.block(k),), c.contain)
                 nxt.setdefault(RestrictionTerm(t.root, tuple(children)))
         terms = prune_terms(tuple(nxt))
     return terms

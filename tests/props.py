@@ -14,7 +14,7 @@ import permspec as ps
 from permspec.disambiguate import _disambiguate_group
 from permspec.oracle import _Denotations, closure_members
 from permspec.perms import is_minus_decomposable, is_plus_decomposable, perm
-from permspec.restrictions import RestrictionTerm, restriction
+from permspec.restrictions import Restriction, RestrictionTerm, restriction
 
 
 def term_hit(den: _Denotations, t: RestrictionTerm, p) -> bool:
@@ -226,13 +226,25 @@ def check_complement_term_cover(nmax=7, simples=()):
                 assert hits == 1, (t, p, hits)
 
 
-def check_canonicalize_denotation(nmax=7, simples=("3142",)):
+def check_canonical_form_denotation(nmax=7, simples=("3142",)):
+    """restriction() reduces redundant constraint lists without changing the
+    denoted set: a raw Restriction over the same lists has the same members."""
     den = _Denotations(tuple(perm(s) for s in simples), nmax)
-    for r in sample_restrictions():
-        canon = ps.canonicalize(r)
-        assert ps.canonicalize(canon) == canon
-        for n in range(1, nmax + 1):
-            assert den.members(r, n) == den.members(canon, n), (r, n)
+    lists = [
+        (("12", "1243"), ("1", "12", "21")),
+        (("132", "1243", "2341"), ("1", "21")),
+        (("123", "1234", "2341"), ("12", "21", "231")),
+        (("2341",), ("1", "12", "132", "21")),
+        ((), ("1", "21", "231", "1243")),
+    ]
+    for delta in ("", "+", "-"):
+        for avoid, contain in lists:
+            raw = Restriction(delta, tuple(map(perm, avoid)), tuple(map(perm, contain)))
+            canon = restriction(delta, raw.avoid, raw.contain)
+            assert canon != raw
+            assert restriction(delta, canon.avoid, canon.contain) == canon
+            for n in range(1, nmax + 1):
+                assert den.members(raw, n) == den.members(canon, n), (raw, n)
 
 
 def check_intersection_denotation(nmax=7, simples=("3142",)):

@@ -16,7 +16,7 @@ from reference_systems import AV132_EXPECTED, SEP_SUBCLASS_EXPECTED, system_as_d
 from props import (
     check_add_constraints_semantics,
     check_add_mandatory_semantics,
-    check_canonicalize_denotation,
+    check_canonical_form_denotation,
     check_closure_downward_closed,
     check_complement_restriction_cover,
     check_complement_term_cover,
@@ -188,7 +188,7 @@ def test_criterion_8_property_suites(av132_spec, av132_basis,
         ),
         ("complement cover for restrictions (n<=7)", lambda: check_complement_restriction_cover(7)),
         ("complement cover for terms (n<=7)", lambda: check_complement_term_cover(7)),
-        ("canonicalize preserves denotations (n<=7)", lambda: check_canonicalize_denotation(7)),
+        ("canonical form preserves denotations (n<=7)", lambda: check_canonical_form_denotation(7)),
         ("intersection denotes intersection (n<=7)", lambda: check_intersection_denotation(7)),
         ("inclusion test bounds counts (n<=8)", lambda: check_subset_sufficient_counts(8)),
         (

@@ -3,15 +3,15 @@
 import permspec as ps
 
 PUBLIC = [
-    "Basis", "BlockDecomposition", "DecompositionTree", "EMPTY", "Embedding",
-    "Equation", "EquationSystem", "Leaf", "MINUS", "Minus", "ONE", "PLUS",
-    "PermspecError", "Permutation", "Plus", "Prime", "Restriction",
+    "Basis", "BlockDecomposition", "EMPTY", "Embedding",
+    "Equation", "EquationSystem", "MINUS", "ONE", "PLUS",
+    "PermspecError", "Permutation", "Restriction",
     "RestrictionTerm", "SimpleSet", "add_constraints", "add_mandatory",
     "all_embeddings", "ambiguous_system", "audit_specification", "avoids",
-    "basis_of", "block_decompositions", "build_tables", "canonicalize",
+    "basis_of", "block_decompositions", "build_tables",
     "class_counts", "class_members", "closure_equation", "closure_members",
     "coefficients", "complement_restriction", "complement_term", "contains",
-    "counting", "decompose", "decomposition_tree", "derivation_probability",
+    "counting", "decompose", "derivation_probability",
     "disambiguate", "embeddings", "embeddings_for", "enumerate_class",
     "eqn_for_restriction", "errors", "generalized_substitute", "heatmap",
     "in_closure", "intersect_restrictions", "intersect_terms",

@@ -248,3 +248,17 @@ def test_malformed_spec_is_domain_error(tmp_path, capsys, text, field):
     code, _, err = run(capsys, "count", "--spec", str(spec_path), "-N", "5")
     assert code == 1
     assert field in one_line(err)
+
+
+def test_uncertified_disjoint_flag_is_domain_error(tmp_path, capsys):
+    # the ambiguous system of Av(2413,3142,2143) with every equation marked
+    # disjoint would count 1, 3, 10, 38, ... instead of 1, 2, 6, 21, ...
+    amb = ps.ambiguous_system(ps.basis_of([P("2413"), P("3142"), P("2143")]), ps.simple_set([]))
+    obj = jsonio.system_to_obj(amb)
+    for eobj in obj["equations"]:
+        eobj["disjoint"] = True
+    spec_path = tmp_path / "forged.json"
+    spec_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "count", "--spec", str(spec_path), "-N", "8")
+    assert code == 1 and out == ""
+    assert "marked disjoint" in one_line(err)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import permspec as ps
@@ -147,6 +149,42 @@ def test_specification_is_deterministic(big_basis, big_simples, big_spec):
 
     again = ps.specification(big_basis, big_simples)
     assert jsonio.dumps_system(again) == jsonio.dumps_system(big_spec)
+
+
+# SHA-256 of dumps_system for (specification, ambiguous_system), keyed by
+# (basis, simples); a change to the construction that alters any byte of
+# either file must update these.
+SYSTEM_JSON_SHA256 = {
+    (("132",), ()): (
+        "07bd99d96cc2b42d5a29547e1c929e5a791d4fdec549dd9d54b9be8447746a7a",
+        "07bd99d96cc2b42d5a29547e1c929e5a791d4fdec549dd9d54b9be8447746a7a",
+    ),
+    (("2413", "3142", "2143"), ()): (
+        "4dffa4539fb7092bdc889d1c420efc7a962be80727beff462d531f7255627b15",
+        "af3ba0dc5c2e8ebd810797d0a098a6161be0a2225db4b4cfb45ab22edf7ca49c",
+    ),
+    (("1243", "2341", "2413", "41352", "531642"), ("3142",)): (
+        "e76a877d56b195d7bdb45b2d3d581d028d47ef69d0b39f39d298dcfdc060f79e",
+        "ee3555828ce57758f97326f0d5d31758a1e79905e643e8f0ceb7fecdf51cafb7",
+    ),
+    (("1243", "2341", "2413", "531642"), ("3142", "41352")): (
+        "3a8058d934c41632f2564f0b42e827f95d33632d370cea9ff23cef3357ac17d7",
+        "a04f8ab8120afe3ffedab563d97d5ae8d15d4904a8ff04b3ebe1dd6cac1ed6f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(SYSTEM_JSON_SHA256), ids=lambda cls: "-".join(cls[0]))
+def test_system_json_is_pinned(cls):
+    from permspec import jsonio
+
+    basis = ps.basis_of([P(x) for x in cls[0]])
+    simples = ps.simple_set([P(x) for x in cls[1]])
+    got = tuple(
+        hashlib.sha256(jsonio.dumps_system(build(basis, simples)).encode()).hexdigest()
+        for build in (ps.specification, ps.ambiguous_system)
+    )
+    assert got == SYSTEM_JSON_SHA256[cls]
 
 
 def test_add_mandatory_semantics_small():

@@ -130,6 +130,7 @@ def test_generalized_substitute_fixtures():
 def test_decompose_fixtures():
     assert ps.decompose(P("546312")) == (ps.MINUS, (P("213"), P("312")))
     assert ps.decompose(P("12")) == (ps.PLUS, (P("1"), P("1")))
+    assert ps.decompose(P("214653")) == (ps.PLUS, (P("21"), P("2431")))
     big = ps.perm("6 9 8 7 3 11 5 4 10 17 1 2 14 16 13 15 12")
     root, children = ps.decompose(big)
     assert root == P("2413")
@@ -143,32 +144,20 @@ def test_decompose_rejects_small():
         ps.decompose(ps.EMPTY)
 
 
-def test_decomposition_tree_fixtures():
-    assert ps.decomposition_tree(P("1")) == ps.Leaf()
-    t = ps.decomposition_tree(P("214653"))
-    assert isinstance(t, ps.Plus)
-    assert t.left.to_permutation() == P("21")
-    assert t.right.to_permutation() == P("2431")
-    big = ps.perm("6 9 8 7 3 11 5 4 10 17 1 2 14 16 13 15 12")
-    tree = ps.decomposition_tree(big)
-    assert isinstance(tree, ps.Prime) and tree.simple == P("2413")
-    assert tree.to_permutation() == big
-    with pytest.raises(DecompositionError):
-        ps.decomposition_tree(ps.EMPTY)
-
-
-@given(perms(min_n=2, max_n=7))
-@settings(max_examples=200)
-def test_tree_roundtrip(p):
-    assert ps.decomposition_tree(p).to_permutation() == p
-
-
 def test_in_closure():
     assert not ps.in_closure(P("3142"), [])
     assert ps.in_closure(P("3142"), [P("3142")])
     assert ps.in_closure(P("214653"), [])
     with pytest.raises(InvalidInputError):
         ps.in_closure(P("12"), [P("123")])
+    with pytest.raises(DecompositionError):
+        ps.in_closure(ps.EMPTY, [])
+
+
+def test_in_closure_deep_tree():
+    # one plus node per entry: the tree is as deep as the permutation is long
+    assert ps.in_closure(ps.Permutation(tuple(range(1, 2001))), [])
+    assert not ps.in_closure(ps.Permutation(tuple(range(1, 1997)) + (1998, 2000, 1997, 1999)), [])
 
 
 def test_indecomposability_predicates():

@@ -10,7 +10,7 @@ from permspec.restrictions import (
     term_subset_sufficient,
 )
 from props import (
-    check_canonicalize_denotation,
+    check_canonical_form_denotation,
     check_complement_restriction_cover,
     check_complement_term_cover,
     check_intersection_denotation,
@@ -36,11 +36,14 @@ def test_canonicalize_keeps_incomparable_contains():
 
 def test_canonicalize_drops_one_from_contain():
     assert R(contain=("1", "21")) == R(contain=("21",))
+    # the empty permutation is refused, even next to a pattern that contains it
+    with pytest.raises(InvalidInputError):
+        restriction("", (), [ps.EMPTY, P("21")])
 
 
 def test_canonicalize_idempotent_examples():
     for r in (R(avoid=("132",)), R(avoid=("12", "2341"), contain=("21",))):
-        assert ps.canonicalize(r) == r
+        assert restriction(r.delta, r.avoid, r.contain) == r
 
 
 def test_is_empty_sufficient():
@@ -170,6 +173,6 @@ def test_cover_laws_small():
 
 
 def test_denotation_laws_small():
-    check_canonicalize_denotation(nmax=5)
+    check_canonical_form_denotation(nmax=5)
     check_intersection_denotation(nmax=5)
     check_subset_sufficient_counts(nmax=6)
