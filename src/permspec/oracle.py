@@ -2,9 +2,18 @@
 
 Class and closure members are enumerated incrementally: inserting the new
 maximum value into a member of size n-1 in every possible way produces each
-size-n permutation exactly once, and both kinds of set are closed under
-removing the maximum, so filtering candidates by the defining predicate is
-exhaustive.  Everything here trades speed for obviousness.
+size-n permutation exactly once (the generating tree of West, *Generating
+trees and the Catalan and Schröder numbers*, 1995), and both kinds of set are
+closed under removing the maximum, so filtering candidates by the defining
+predicate is exhaustive.
+
+Class members are filtered at the insertion site rather than by a full
+containment search.  The parent already avoids every basis pattern, so a
+child can only contain a pattern beta through an occurrence that uses the
+new maximum n.  Since n is the child's largest entry, such an occurrence maps
+beta's maximum onto n, and the rest of it is an occurrence of beta with its
+maximum deleted in the parent, split by position at the slot where n went.
+Everything here trades speed for obviousness, except that one step.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from .perms import (
     MINUS,
     PLUS,
     Permutation,
+    _occurrence_search,
     contains,
     decompose,
     in_closure,
@@ -27,10 +37,6 @@ from .perms import (
 )
 from .restrictions import Restriction
 from .system import EquationSystem
-
-
-def _avoids_all(p: Permutation, patterns: Sequence[Permutation]) -> bool:
-    return not any(len(b) <= len(p) and contains(p, b) for b in patterns)
 
 
 def _grow(members: list[Permutation], size: int) -> Iterable[Permutation]:
@@ -47,15 +53,50 @@ def enumerate_class(patterns: Sequence[Permutation], n: int) -> list[Permutation
 
 
 def class_members(patterns: Sequence[Permutation], nmax: int) -> dict[int, list[Permutation]]:
-    """Members of the class for every size up to nmax."""
-    patterns = list(patterns)
+    """Members of the class for every size up to nmax.
+
+    Each size-n member is a size-(n-1) member p with n inserted at one of
+    the slots 0..n-1 (slot s puts n before p's entry at 0-based position s).
+    For a pattern beta whose maximum sits at 0-based index m, every
+    occurrence occ of beta minus its maximum in p blocks the slots
+    occ[m-1]+1 .. occ[m], the ends read as 0 and n-1: inserting n there
+    completes that occurrence to one of beta.  The children of p are its
+    unblocked slots, in slot order, which is the order of inserting n
+    everywhere and keeping the avoiders.  A pattern of size 0 or 1 occurs in
+    every nonempty permutation, so it leaves every level empty.
+    """
+    if nmax < 0:
+        raise InvalidInputError(f"size must be non-negative, got {nmax}")
+    if any(len(b) <= 1 for b in patterns):
+        return {n: [] for n in range(nmax + 1)}
+    cuts = [_insertion_cut(b) for b in patterns]
     out: dict[int, list[Permutation]] = {0: []}
-    level = [Permutation((1,))] if _avoids_all(Permutation((1,)), patterns) else []
-    out[1] = level
+    if nmax >= 1:
+        out[1] = [Permutation((1,))]
     for n in range(2, nmax + 1):
-        level = [p for p in _grow(level, n) if _avoids_all(p, patterns)]
-        out[n] = level
+        out[n] = [child for p in out[n - 1] for child in _avoiding_children(p, n, cuts)]
     return out
+
+
+def _insertion_cut(beta: Permutation) -> tuple[tuple[int, ...], int]:
+    """beta's values with its maximum deleted, and the index of the maximum."""
+    m = beta.values.index(len(beta))
+    return beta.values[:m] + beta.values[m + 1 :], m
+
+
+def _avoiding_children(
+    p: Permutation, n: int, cuts: Sequence[tuple[tuple[int, ...], int]]
+) -> Iterable[Permutation]:
+    """The permutations p with n inserted that still avoid every pattern."""
+    blocked = [False] * n
+    for rest, m in cuts:
+        for occ in _occurrence_search(p.values, rest, find_all=True):
+            lo = occ[m - 1] + 1 if m > 0 else 0
+            hi = occ[m] if m < len(occ) else n - 1
+            blocked[lo : hi + 1] = [True] * (hi + 1 - lo)
+    for pos in range(n):
+        if not blocked[pos]:
+            yield Permutation(p.values[:pos] + (n,) + p.values[pos:])
 
 
 def simples_in_class(patterns: Sequence[Permutation], maxlen: int) -> set[Permutation]:
@@ -189,6 +230,8 @@ def audit_specification(
     side parts are pairwise disjoint (for disjoint-flagged equations), that
     their union is exactly the left-hand side, and that the first equation's
     left side is exactly the brute-force class."""
+    if nmax < 1:
+        raise InvalidInputError(f"audit needs nmax >= 1, got {nmax}")
     report = AuditReport(nmax=nmax)
     den = _Denotations(system.simples, nmax)
     truth = class_members(basis_patterns, nmax)

@@ -262,3 +262,25 @@ def test_uncertified_disjoint_flag_is_domain_error(tmp_path, capsys):
     code, out, err = run(capsys, "count", "--spec", str(spec_path), "-N", "8")
     assert code == 1 and out == ""
     assert "marked disjoint" in one_line(err)
+
+
+@pytest.mark.parametrize(
+    "argv", [("enumerate", "-n", "-1"), ("simples", "--maxlen", "-1")], ids=lambda a: a[0]
+)
+def test_negative_oracle_size_is_domain_error(big_files, capsys, argv):
+    basis, _ = big_files
+    code, out, err = run(capsys, "oracle", argv[0], "--basis", str(basis), *argv[1:])
+    assert code == 1 and out == ""
+    assert "-1" in one_line(err)
+
+
+@pytest.mark.parametrize("nmax", ["-3", "0"])
+def test_vacuous_audit_is_domain_error(tmp_path, av21_spec, capsys, nmax):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("21\n")
+    code, out, err = run(
+        capsys, "oracle", "audit", "--spec", str(av21_spec), "--basis", str(basis),
+        "--nmax", nmax,
+    )
+    assert code == 1 and "no violations" not in out
+    assert "nmax" in one_line(err)

@@ -1,4 +1,10 @@
+import hashlib
+import itertools
+
+import pytest
+
 import permspec as ps
+from permspec.errors import InvalidInputError
 from permspec.oracle import (
     AuditReport,
     audit_specification,
@@ -9,6 +15,25 @@ from permspec.restrictions import Equation, restriction
 
 P = ps.perm
 
+FIVE_PATTERN = ("1243", "2341", "2413", "41352", "531642")
+
+# SHA-256 of member_lists_text(class_members(basis, 9)), recorded from the
+# enumeration that filtered every insertion by a full containment search.
+MEMBER_LISTS_SHA256 = {
+    ("2413", "3142"): "417272b912c7e1551876ef12cb937b4cc531e2771198d5da8cda6be55aac0cdf",
+    FIVE_PATTERN: "4ad2029787a53e405bf2226398a621c744a33c245c87faff437696a337d9bb42",
+}
+
+REFERENCE_BASES = {
+    "21": ("21",),
+    "132": ("132",),
+    "2413-3142": ("2413", "3142"),
+    "five-pattern": FIVE_PATTERN,
+    "with-1": ("231", "1"),
+    "duplicated": ("132", "2413", "132"),
+    "longer-than-7": ("4321", "12345678"),
+}
+
 
 def R(delta="", avoid=(), contain=()):
     return restriction(delta, [P(a) for a in avoid], [P(c) for c in contain])
@@ -18,6 +43,48 @@ def test_enumerate_fixtures():
     assert ps.enumerate_class([P("21")], 4) == [P("1234")]
     assert len(ps.enumerate_class([P("132")], 4)) == 14
     assert len(ps.enumerate_class([P("2413"), P("3142")], 4)) == 22
+
+
+def member_lists_text(members):
+    return "\n".join(
+        f"{n}: " + ",".join(p.compact() for p in members[n]) for n in sorted(members)
+    )
+
+
+@pytest.mark.parametrize("basis", list(MEMBER_LISTS_SHA256), ids="-".join)
+def test_member_lists_are_pinned(basis):
+    members = class_members([P(b) for b in basis], 9)
+    digest = hashlib.sha256(member_lists_text(members).encode()).hexdigest()
+    assert digest == MEMBER_LISTS_SHA256[basis]
+
+
+@pytest.mark.parametrize("basis", list(REFERENCE_BASES.values()), ids=list(REFERENCE_BASES))
+def test_members_match_filtered_permutations(basis):
+    patterns = [P(b) for b in basis]
+    members = class_members(patterns, 7)
+    assert members[0] == []
+    for n in range(1, 8):
+        every = map(P, itertools.permutations(range(1, n + 1)))
+        want = {q for q in every if all(ps.avoids(q, b) for b in patterns)}
+        assert len(set(members[n])) == len(members[n])
+        assert set(members[n]) == want
+
+
+def test_class_members_leave_contains_memo_empty():
+    ps.contains.cache_clear()
+    class_members([P("2413"), P("3142")], 8)
+    assert ps.contains.cache_info().currsize == 0
+
+
+def test_negative_sizes_are_domain_errors(av132_spec, av132_basis):
+    for enumerate_up_to in (class_members, ps.enumerate_class, ps.simples_in_class):
+        with pytest.raises(InvalidInputError):
+            enumerate_up_to(av132_basis.patterns, -1)
+    assert class_members(av132_basis.patterns, 0) == {0: []}
+    assert ps.enumerate_class(av132_basis.patterns, 0) == []
+    for nmax in (0, -3):
+        with pytest.raises(InvalidInputError):
+            audit_specification(av132_spec, av132_basis.patterns, nmax)
 
 
 def test_members_are_hereditary():
