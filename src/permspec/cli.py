@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output JSON path")
     sp.add_argument(
         "--probe-empty",
-        type=int,
+        type=_non_negative,
         metavar="N",
         default=0,
         help="warn about terms with no members up to size N (diagnostic only)",

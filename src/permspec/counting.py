@@ -8,11 +8,17 @@ two children of positive valuation, so each coefficient depends only on
 strictly smaller ones and a single size-major sweep is exact.  The sweep
 keeps, for every term, the series of the products of its first j children;
 the last one is the term's own series, and the sampler reuses all of them to
-split sizes among children.  All arithmetic is arbitrary-precision integer.
+split sizes among children.  A prefix product is named by its ordered child
+tuple, and terms of different equations often begin with the same children,
+so each distinct product is one series, computed once per size and shared by
+every term that starts with it (the recursive method's binary products,
+Flajolet, Zimmermann & Van Cutsem 1994).  The shared lists are read-only
+once the sweep returns.  All arithmetic is arbitrary-precision integer.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, NonDisjointSystemError
@@ -75,6 +81,9 @@ def _solve(
     children 0..j of the i-th term with total size n, so entry 0 is the first
     child's counts and the last entry is the term's series.
 
+    Entry j >= 1 is the one series of the child tuple t[:j+1]: terms that
+    share a prefix hold the same list object, so callers must not mutate it.
+
     Size-major evaluation of the fixed point: when size n is processed, every
     product only reads coefficients of sizes below n, which are final.
     """
@@ -82,22 +91,33 @@ def _solve(
     counts: dict[Restriction, list[int]] = {
         eq.lhs: [0] * (order + 1) for eq in gf.equations
     }
-    prefixes = {
-        eq.lhs: [[counts[t[0]]] + [[0] * (order + 1) for _ in t[1:]] for t in eq.terms]
+    shared: dict[tuple[Restriction, ...], list[int]] = {}
+    # (series, left factor, right factor's counts), each distinct product once
+    steps: list[tuple[list[int], list[int], list[int]]] = []
+    prefixes: dict[Restriction, list[list[list[int]]]] = {}
+    for eq in gf.equations:
+        rows = []
+        for t in eq.terms:
+            row = [counts[t[0]]]
+            for j in range(1, len(t)):
+                key = t[: j + 1]
+                series = shared.get(key)
+                if series is None:
+                    series = shared[key] = [0] * (order + 1)
+                    steps.append((series, row[-1], counts[t[j]]))
+                row.append(series)
+            rows.append(row)
+        prefixes[eq.lhs] = rows
+    sums = [
+        (counts[eq.lhs], eq.has_one, [row[-1] for row in prefixes[eq.lhs]])
         for eq in gf.equations
-    }
+    ]
+    mul = operator.mul
     for n in range(1, order + 1):
-        for eq in gf.equations:
-            total = 1 if (eq.has_one and n == 1) else 0
-            for t, products in zip(eq.terms, prefixes[eq.lhs]):
-                prev = products[0]
-                for j in range(1, len(t)):
-                    arr = products[j]
-                    cj = counts[t[j]]
-                    arr[n] = sum(prev[n - m] * cj[m] for m in range(1, n))
-                    prev = arr
-                total += prev[n]
-            counts[eq.lhs][n] = total
+        for series, left, right in steps:
+            series[n] = sum(map(mul, left[n - 1 : 0 : -1], right[1:n]))
+        for arr, has_one, term_series in sums:
+            arr[n] = (1 if has_one and n == 1 else 0) + sum(s[n] for s in term_series)
     for lhs, arr in counts.items():
         if arr[0] != 0 or arr[1] not in (0, 1):
             raise AssertionError(f"count table for {lhs} violates c0=0, c1<=1")

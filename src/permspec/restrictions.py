@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidInputError
 from .perms import EMPTY, MINUS, ONE, PLUS, Permutation, contains, is_simple, sort_key
@@ -115,6 +116,7 @@ def subset_sufficient(r1: Restriction, r2: Restriction) -> bool:
     )
 
 
+@lru_cache(maxsize=1 << 16)
 def intersect_restrictions(r1: Restriction, r2: Restriction) -> Restriction:
     if r1.delta != r2.delta:
         raise InvalidInputError("intersection requires matching deltas")

@@ -6,8 +6,9 @@ by integer thresholds against a caller-supplied source of uniform integers
 (random.Random works); no floating point enters the probability path.
 The tables are the counting pass's own output: the counts, and every term's
 prefix products, which weight the split of a term's size among its children
-drawn right to left.  Tables are immutable after build and safe to share
-between samplers.
+drawn right to left.  A prefix product is one list per distinct ordered
+child tuple, shared by every term that begins with those children.  Tables
+are read-only after build and safe to share between samplers.
 
 A draw is one walk down the derivation, children left to right.  Every node
 knows the positions and values it will occupy in the output: its first
@@ -42,7 +43,8 @@ class SamplingTables:
     counts: dict[Restriction, list[int]]
     # prefixes[lhs][i][j][s] counts inflations of children 0..j of the
     # equation's i-th term with total size s; the last entry is the term's
-    # weight series
+    # weight series.  Entry j >= 1 is the one list of the child tuple
+    # children[:j+1], shared with every term that starts with it, so read-only
     prefixes: dict[Restriction, list[list[list[int]]]]
 
 

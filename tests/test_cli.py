@@ -284,3 +284,14 @@ def test_vacuous_audit_is_domain_error(tmp_path, av21_spec, capsys, nmax):
     )
     assert code == 1 and "no violations" not in out
     assert "nmax" in one_line(err)
+
+
+def test_negative_probe_bound_is_usage_error(tmp_path, big_files, capsys):
+    basis, simples = big_files
+    out = tmp_path / "spec.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["specify", "--basis", str(basis), "--simples", str(simples),
+              "--out", str(out), "--probe-empty", "-2"])
+    assert exc.value.code == 2
+    assert "--probe-empty" in one_line(capsys.readouterr().err)
+    assert not out.exists()

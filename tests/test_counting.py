@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 import permspec as ps
@@ -83,12 +86,58 @@ def test_counts_big_class_match_closed_form(big_spec):
     assert ps.class_counts(big_spec, 20) == closed_form_series(20)
 
 
-def test_counts_match_reference_fixed_point(av132_spec, big_spec):
-    for spec in (av132_spec, big_spec):
-        order = 10
+@pytest.fixture(scope="module")
+def five_root_spec():
+    basis = ps.basis_of([P(x) for x in ("1243", "2341", "2413", "531642")])
+    return ps.specification(basis, ps.simple_set([P("3142"), P("41352")]))
+
+
+def test_counts_match_reference_fixed_point(av132_spec, big_spec, five_root_spec):
+    # five-root's simple-root terms have 4 or more children, so their long
+    # prefix products are the ones shared between equations
+    for spec, order in ((av132_spec, 10), (big_spec, 10), (five_root_spec, 25)):
         fast = ps.coefficients(spec, order)
         slow = reference_coefficients(spec, order)
         assert fast == slow
+
+
+def table_digest(table):
+    text = json.dumps(sorted([str(lhs), arr] for lhs, arr in table.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of every restriction's counts to size 300, recorded when every
+# term's prefix products were still convolved on their own
+PINNED_TABLES = {
+    "five-pattern": "86b945c190e2d2a2915f6383d9ab9207e4a81e5b7acb6c62358608c6b4d2a82f",
+    "five-root": "71909ceff0b49e3d94f3c3ad47a480bf581a6b92da9c0e9586a07c0f5bebc2de",
+    "Av(2413,3142,2143)": "7e7d91b804b65c266ab96630d36a54df3dbe54bc5a9286e7589881878048dfd8",
+    "separable": "c06b540634e3c5f3b3f0089c0ffd8f1a124a0d9bd688fffd2ef46297cd28182e",
+}
+
+
+def test_count_tables_are_pinned(big_spec, five_root_spec, sep_subclass_spec):
+    specs = {
+        "five-pattern": big_spec,
+        "five-root": five_root_spec,
+        "Av(2413,3142,2143)": sep_subclass_spec,
+        "separable": ps.substitution_closed_spec(ps.simple_set([])),
+    }
+    got = {name: table_digest(ps.coefficients(spec, 300)) for name, spec in specs.items()}
+    assert got == PINNED_TABLES
+
+
+def test_equal_prefixes_share_one_series(big_spec):
+    tables = ps.build_tables(big_spec, 20)
+    by_prefix = {}
+    for lhs, eq in big_spec.equations.items():
+        for t, row in zip(eq.terms, tables.prefixes[lhs]):
+            assert row[0] is tables.counts[t.children[0]]
+            for j in range(1, len(row)):
+                by_prefix.setdefault(t.children[: j + 1], []).append(row[j])
+    assert all(all(s is lists[0] for s in lists) for lists in by_prefix.values())
+    assert sum(len(lists) for lists in by_prefix.values()) == 40
+    assert len({id(s) for lists in by_prefix.values() for s in lists}) == 18
 
 
 def test_substitution_closed_spec_shapes():

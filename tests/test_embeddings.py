@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import permspec as ps
 from permspec.embeddings import BlockDecomposition
 from permspec.errors import InvalidInputError
+from permspec.perms import all_intervals
 from props import (
     check_embedding_completeness,
     check_embedding_completeness_exhaustive,
@@ -60,6 +62,26 @@ def test_block_decomposition_validation():
         BlockDecomposition(P("3142"), ((1, 2), (3, 4)))
     with pytest.raises(InvalidInputError):
         BlockDecomposition(P("3142"), ((1, 1), (2, 2)))
+    with pytest.raises(InvalidInputError, match="not an interval"):
+        BlockDecomposition(P("2413"), ((1, 2), (3, 4)))
+    # a part running past the end is refused, not truncated to fit
+    with pytest.raises(InvalidInputError, match="not an interval"):
+        BlockDecomposition(P("2413"), ((1, 5), (6, 4)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_block_decomposition_accepts_exactly_interval_parts(n):
+    for values in itertools.permutations(range(1, n + 1)):
+        p = ps.Permutation(values)
+        intervals = all_intervals(p)
+        for cuts in range(2 ** (n - 1)):
+            ends = [j for j in range(1, n) if cuts >> (j - 1) & 1] + [n]
+            parts = tuple(zip([1] + [j + 1 for j in ends[:-1]], ends))
+            if all(iv in intervals for iv in parts):
+                assert BlockDecomposition(p, parts).parts == parts
+            else:
+                with pytest.raises(InvalidInputError):
+                    BlockDecomposition(p, parts)
 
 
 def test_embeddings_for_fixtures():
