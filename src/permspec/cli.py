@@ -2,9 +2,9 @@
 
 Subcommands: specify, ambiguous, count, sample, heatmap, and the oracle
 group (enumerate, simples, audit).  Exit status 0 on success, 1 on a domain
-error (trivial class, malformed specification, impossible sizes, unreadable
-files), 2 on usage errors; either way the error is one line on standard
-error.
+error (trivial class, malformed specification, impossible sizes, sizes too
+large to tabulate, unreadable files), 2 on usage errors; either way the
+error is one line on standard error.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (PermspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, MemoryError):
+        # a size too large to tabulate: [0] * (N + 1) overflows an index
+        # past sys.maxsize and fails to allocate below it
+        print("error: the requested size is too large to fit in memory", file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,13 @@ drawn right to left.  A prefix product is one list per distinct ordered
 child tuple, shared by every term that begins with those children.  Tables
 are read-only after build and safe to share between samplers.
 
+`build_tables` also compiles the tables once into a plan: the equations
+numbered from 0 (the root), and per term its weight series, its children's
+numbers, its prefix rows, its children's count lists and the order of its
+children by root value.  Every series in the plan is the very list held in
+`counts` or `prefixes`, shared read-only and never copied, so a draw looks
+up no restriction and the plan costs no memory beyond its tuples.
+
 A draw is one walk down the derivation, children left to right.  Every node
 knows the positions and values it will occupy in the output: its first
 position follows from the sizes of its left siblings and its value offset
@@ -20,20 +27,29 @@ permutation built is the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
 
 from .counting import _solve
 from .errors import InvalidInputError, SampleError
 from .oracle import member_of_restriction
-from .perms import Permutation, decompose, inflation_offsets
-from .restrictions import Restriction, RestrictionTerm
+from .perms import Permutation, decompose
+from .restrictions import Restriction
 from .system import EquationSystem
 
 
 class IntegerSource(Protocol):
     def randrange(self, bound: int) -> int: ...
+
+
+# One term of the plan: (weight series, child numbers, prefix rows, child
+# count lists, child positions in increasing root value).
+PlanTerm = tuple[
+    list[int], tuple[int, ...], list[list[int]], tuple[list[int], ...], tuple[int, ...]
+]
+# One equation of the plan: (count series, has the atom, terms).
+PlanEquation = tuple[list[int], bool, tuple[PlanTerm, ...]]
 
 
 @dataclass(frozen=True)
@@ -44,91 +60,146 @@ class SamplingTables:
     # prefixes[lhs][i][j][s] counts inflations of children 0..j of the
     # equation's i-th term with total size s; the last entry is the term's
     # weight series.  Entry j >= 1 is the one list of the child tuple
-    # children[:j+1], shared with every term that starts with it, so read-only
+    # children[:j+1], shared with every term that starts with it, and the
+    # plan holds these same lists, so all of them are read-only
     prefixes: dict[Restriction, list[list[list[int]]]]
+    # the tables compiled for the draw walk, root equation first
+    plan: tuple[PlanEquation, ...] = field(repr=False, compare=False)
 
 
 def build_tables(spec: EquationSystem, limit: int) -> SamplingTables:
     """Counts plus every term's prefix products, up to the size limit, from
-    one counting pass."""
+    one counting pass, compiled into the draw plan."""
     if limit < 1:
         raise InvalidInputError("size limit must be at least 1")
     counts, prefixes = _solve(spec, limit)
-    return SamplingTables(spec, limit, counts, prefixes)
+    return SamplingTables(spec, limit, counts, prefixes, _compile(spec, counts, prefixes))
+
+
+def _compile(
+    spec: EquationSystem,
+    counts: dict[Restriction, list[int]],
+    prefixes: dict[Restriction, list[list[list[int]]]],
+) -> tuple[PlanEquation, ...]:
+    """Number the equations, root first, and resolve every child to its
+    number and count list, sharing the counting pass's lists."""
+    keys = [spec.root] + [k for k in spec.equations if k != spec.root]
+    number = {k: i for i, k in enumerate(keys)}
+    plan = []
+    for key in keys:
+        eq = spec.equations[key]
+        terms = tuple(
+            (
+                rows[-1],
+                tuple(number[c] for c in t.children),
+                rows,
+                tuple(counts[c] for c in t.children),
+                tuple(sorted(range(len(t.children)), key=t.root.values.__getitem__)),
+            )
+            for t, rows in zip(eq.terms, prefixes[key])
+        )
+        plan.append((counts[key], eq.has_one, terms))
+    return tuple(plan)
+
+
+def _check_size(tables: SamplingTables, n: int) -> None:
+    if not 1 <= n <= tables.limit:
+        raise InvalidInputError(f"size {n} outside table range 1..{tables.limit}")
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise InvalidInputError(f"sample count must be non-negative, got {count}")
 
 
 def sample(tables: SamplingTables, n: int, rng: IntegerSource) -> Permutation:
     """One permutation drawn uniformly among the class's size-n members."""
-    if not 1 <= n <= tables.limit:
-        raise InvalidInputError(f"size {n} outside table range 1..{tables.limit}")
-    if tables.counts[tables.system.root][n] == 0:
+    _check_size(tables, n)
+    plan = tables.plan
+    if plan[0][0][n] == 0:
         raise SampleError(f"the class has no permutation of size {n}")
+    randrange = rng.randrange
     values = [0] * n
-    # (restriction, size, first position, value offset) of each pending node
-    stack = [(tables.system.root, n, 0, 0)]
+    # (equation number, size, first position, value offset) of each pending node
+    stack = [(0, n, 0, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        key, size, pos, offset = stack.pop()
-        eq = tables.system.equations[key]
-        r = rng.randrange(tables.counts[key][size])
-        if eq.has_one and size == 1:
+        i, size, pos, offset = pop()
+        total, has_one, terms = plan[i]
+        r = randrange(total[size])
+        if has_one and size == 1:
             if r < 1:
                 values[pos] = offset + 1
                 continue
             r -= 1
-        for t, prefix in zip(eq.terms, tables.prefixes[key]):
-            w = prefix[-1][size]
+        for weight, kids, rows, kid_counts, order in terms:
+            w = weight[size]
             if r < w:
-                sizes = _draw_sizes(tables.counts, t, prefix, size, rng)
-                children = []
-                for child, s, o in zip(t.children, sizes, inflation_offsets(t.root, sizes)):
-                    children.append((child, s, pos, offset + o))
-                    pos += s
-                stack.extend(reversed(children))
                 break
             r -= w
         else:
             raise AssertionError("counts admitted a size with no derivation")
+        # child sizes right to left: child j takes size m with weight
+        # c_j[m] * rows[j-1][rem-m], scanned by the prefix's size rem-m
+        # ascending; child 0 takes what remains
+        k = len(kids)
+        if k == 2:
+            # the loop below for one split, unrolled: most nodes are
+            # two-child terms, and the threshold's bound rows[1][size] is w
+            left, right = kid_counts
+            r = randrange(w)
+            for s in range(1, size):
+                x = left[s] * right[size - s]
+                if r < x:
+                    break
+                r -= x
+            else:
+                raise AssertionError("size weights exhausted before the threshold")
+            if order[0] == 0:
+                push((kids[1], size - s, pos + s, offset + s))
+                push((kids[0], s, pos, offset))
+            else:
+                push((kids[1], size - s, pos + s, offset))
+                push((kids[0], s, pos, offset + size - s))
+            continue
+        sizes = [0] * k
+        rem = size
+        for j in range(k - 1, 0, -1):
+            cj = kid_counts[j]
+            before = rows[j - 1]
+            r = randrange(rows[j][rem])
+            # children 0..j-1 take at least one position each
+            for s in range(j, rem):
+                x = before[s] * cj[rem - s]
+                if r < x:
+                    break
+                r -= x
+            else:
+                raise AssertionError("size weights exhausted before the threshold")
+            sizes[j] = rem - s
+            rem = s
+        sizes[0] = rem
+        offsets = [0] * k
+        for c in order:
+            offsets[c] = offset
+            offset += sizes[c]
+        pos += size
+        for c in range(k - 1, -1, -1):
+            pos -= sizes[c]
+            push((kids[c], sizes[c], pos, offsets[c]))
     return Permutation(tuple(values))
 
 
-def _draw_sizes(
-    counts: dict[Restriction, list[int]],
-    t: RestrictionTerm,
-    prefix: list[list[int]],
-    n: int,
-    rng: IntegerSource,
-) -> list[int]:
-    """Child sizes right to left: child j takes size m with weight
-    c_j[m] * prefix[j-1][rem-m], scanned by the prefix's size rem-m
-    ascending; child 0 takes what remains."""
-    k = len(t.children)
-    sizes = [0] * k
-    rem = n
-    for j in range(k - 1, 0, -1):
-        cj = counts[t.children[j]]
-        before = prefix[j - 1]
-        r = rng.randrange(prefix[j][rem])
-        # children 0..j-1 take at least one position each
-        for s in range(j, rem):
-            w = before[s] * cj[rem - s]
-            if r < w:
-                break
-            r -= w
-        else:
-            raise AssertionError("size weights exhausted before the threshold")
-        sizes[j] = rem - s
-        rem = s
-    sizes[0] = rem
-    return sizes
-
-
 def sample_many(tables: SamplingTables, n: int, count: int, rng: IntegerSource) -> list[Permutation]:
+    _check_count(count)
     return [sample(tables, n, rng) for _ in range(count)]
 
 
 def heatmap(tables: SamplingTables, n: int, count: int, rng: IntegerSource) -> list[list[int]]:
     """Matrix H with H[x][y] = number of samples whose value at position
     x+1 is y+1; every row and column sums to the sample count."""
+    _check_size(tables, n)
+    _check_count(count)
     grid = [[0] * n for _ in range(n)]
     for _ in range(count):
         for x, y in enumerate(sample(tables, n, rng).values):

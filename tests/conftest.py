@@ -45,3 +45,9 @@ def big_simples():
 @pytest.fixture(scope="session")
 def big_spec(big_basis, big_simples):
     return ps.specification(big_basis, big_simples)
+
+
+@pytest.fixture(scope="session")
+def five_root_spec():
+    basis = ps.basis_of([P(x) for x in ("1243", "2341", "2413", "531642")])
+    return ps.specification(basis, ps.simple_set([P("3142"), P("41352")]))

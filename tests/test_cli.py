@@ -295,3 +295,20 @@ def test_negative_probe_bound_is_usage_error(tmp_path, big_files, capsys):
     assert exc.value.code == 2
     assert "--probe-empty" in one_line(capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-N", str(10**20)),
+        ("sample", "--size", str(10**20)),
+        ("heatmap", "--size", str(10**20), "--samples", "1", "--out", "grid.csv"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_huge_size_is_domain_error(tmp_path, av21_spec, capsys, argv):
+    argv = [a if a != "grid.csv" else str(tmp_path / a) for a in argv]
+    code, out, err = run(capsys, argv[0], "--spec", str(av21_spec), *argv[1:])
+    assert code == 1 and out == ""
+    assert "too large" in one_line(err)
+    assert not (tmp_path / "grid.csv").exists()

@@ -86,12 +86,6 @@ def test_counts_big_class_match_closed_form(big_spec):
     assert ps.class_counts(big_spec, 20) == closed_form_series(20)
 
 
-@pytest.fixture(scope="module")
-def five_root_spec():
-    basis = ps.basis_of([P(x) for x in ("1243", "2341", "2413", "531642")])
-    return ps.specification(basis, ps.simple_set([P("3142"), P("41352")]))
-
-
 def test_counts_match_reference_fixed_point(av132_spec, big_spec, five_root_spec):
     # five-root's simple-root terms have 4 or more children, so their long
     # prefix products are the ones shared between equations

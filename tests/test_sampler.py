@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 import permspec as ps
 from permspec.errors import InvalidInputError, SampleError
+from permspec.restrictions import Restriction
 
 P = ps.perm
 
@@ -130,3 +133,57 @@ def test_pinned_draws():
     ):
         got = ps.sample_many(ps.build_tables(spec, n), n, 3, random.Random(7))
         assert [str(p) for p in got] == want
+
+
+# SHA-256 of the first three draws for seed 7 at the benchmark's sizes,
+# recorded while every node of a draw still looked its tables up by
+# restriction
+PINNED_DRAW_DIGESTS = {
+    ("five-root", 200): "eff1b51a71e8809ca1785916e16173630494739c221b0500d6aa7030be0695fc",
+    ("five-pattern", 1000): "c1977179f9e4bff790f018291d0ff29ed0c1dcfb420a3158b27a980b884985b5",
+}
+
+
+def test_pinned_draws_at_benchmark_sizes(five_root_spec, big_spec):
+    specs = {"five-root": five_root_spec, "five-pattern": big_spec}
+    got = {}
+    for name, n in PINNED_DRAW_DIGESTS:
+        draws = ps.sample_many(ps.build_tables(specs[name], n), n, 3, random.Random(7))
+        text = json.dumps([str(p) for p in draws])
+        got[name, n] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == PINNED_DRAW_DIGESTS
+
+
+def test_draws_look_up_no_restriction(big_tables, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"a draw hashed {self}")
+
+    monkeypatch.setattr(Restriction, "__hash__", refuse)
+    rng = random.Random(2)
+    for n in (1, 2, 10):
+        assert len(ps.sample(big_tables, n, rng)) == n
+
+
+def test_plan_shares_the_counting_lists(big_tables):
+    system, counts = big_tables.system, big_tables.counts
+    keys = [system.root] + [k for k in system.equations if k != system.root]
+    assert len(big_tables.plan) == len(keys)
+    for key, (total, has_one, terms) in zip(keys, big_tables.plan):
+        eq = system.equations[key]
+        assert total is counts[key] and has_one == eq.has_one
+        assert len(terms) == len(eq.terms) == len(big_tables.prefixes[key])
+        for t, rows, compiled in zip(eq.terms, big_tables.prefixes[key], terms):
+            weight, kids, plan_rows, kid_counts, order = compiled
+            assert plan_rows is rows and weight is rows[-1]
+            assert [keys[i] for i in kids] == list(t.children)
+            assert all(c is counts[child] for c, child in zip(kid_counts, t.children))
+            assert [t.root.values[c] for c in order] == sorted(t.root.values)
+
+
+def test_negative_sample_counts_are_refused(av21_tables):
+    with pytest.raises(InvalidInputError):
+        ps.sample_many(av21_tables, 5, -1, random.Random(0))
+    with pytest.raises(InvalidInputError):
+        ps.heatmap(av21_tables, 5, -3, random.Random(0))
+    assert ps.sample_many(av21_tables, 5, 0, random.Random(0)) == []
+    assert ps.heatmap(av21_tables, 5, 0, random.Random(0)) == [[0] * 5 for _ in range(5)]
