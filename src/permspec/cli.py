@@ -17,7 +17,7 @@ import sys
 from . import jsonio
 from .counting import coefficients
 from .disambiguate import ambiguous_system, specification, suspect_empty_terms
-from .errors import PermspecError
+from .errors import InvalidInputError, PermspecError
 from .oracle import (
     audit_specification,
     enumerate_class,
@@ -40,11 +40,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (PermspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OverflowError, MemoryError):
-        # a size too large to tabulate: [0] * (N + 1) overflows an index
-        # past sys.maxsize and fails to allocate below it
-        print("error: the requested size is too large to fit in memory", file=sys.stderr)
         return 1
 
 
@@ -192,9 +187,19 @@ def _read_system(path: str):
         return jsonio.loads_system(fh.read())
 
 
+def _tabulate(build, system, size: int):
+    """Tables of the system up to the size; a size whose tables cannot be
+    allocated is a domain error ([0] * (size + 1) overflows an index past
+    sys.maxsize and fails to allocate below it)."""
+    try:
+        return build(system, size)
+    except (OverflowError, MemoryError):
+        raise InvalidInputError(f"size {size} is too large to tabulate") from None
+
+
 def _cmd_count(args) -> int:
     system = _read_system(args.spec)
-    tables = coefficients(system, args.N)
+    tables = _tabulate(coefficients, system, args.N)
     counts = tables[system.root]
     for n in range(1, args.N + 1):
         print(f"{n}\t{counts[n]}")
@@ -208,7 +213,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_sample(args) -> int:
     system = _read_system(args.spec)
-    tables = build_tables(system, args.size)
+    tables = _tabulate(build_tables, system, args.size)
     rng = random.Random(args.seed)
     for _ in range(args.count):
         print(sample(tables, args.size, rng))
@@ -217,7 +222,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     system = _read_system(args.spec)
-    tables = build_tables(system, args.size)
+    tables = _tabulate(build_tables, system, args.size)
     grid = heatmap(tables, args.size, args.samples, random.Random(args.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in grid:
