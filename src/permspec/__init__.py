@@ -71,6 +71,7 @@ from .system import (
     add_constraints,
     basis_of,
     closure_equation,
+    empty_restrictions,
     simple_set,
 )
 

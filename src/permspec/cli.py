@@ -16,17 +16,12 @@ import sys
 
 from . import jsonio
 from .counting import coefficients
-from .disambiguate import ambiguous_system, specification, suspect_empty_terms
+from .disambiguate import ambiguous_system, specification
 from .errors import InvalidInputError, PermspecError
-from .oracle import (
-    audit_specification,
-    enumerate_class,
-    semantic_empty_probe,
-    simples_in_class,
-)
+from .oracle import audit_specification, enumerate_class, simples_in_class
 from .perms import sort_key
 from .sampler import build_tables, heatmap, sample
-from .system import basis_of, simple_set
+from .system import basis_of, empty_restrictions, simple_set
 
 
 def entrypoint() -> None:
@@ -67,13 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("specify", help="compute an unambiguous specification")
     _basis_args(sp)
     sp.add_argument("--out", required=True, help="output JSON path")
-    sp.add_argument(
-        "--probe-empty",
-        type=_non_negative,
-        metavar="N",
-        default=0,
-        help="warn about terms with no members up to size N (diagnostic only)",
-    )
     sp.set_defaults(func=_cmd_specify)
 
     ap = sub.add_parser("ambiguous", help="emit the pre-disambiguation system")
@@ -141,35 +129,37 @@ def _load_inputs(args):
     if args.simples is not None:
         simples = simple_set(jsonio.read_patterns_file(args.simples))
     else:
-        found = simples_in_class(basis.patterns, args.simples_bound)
-        if any(len(p) == args.simples_bound for p in found):
-            print(
-                f"warning: a simple permutation of size {args.simples_bound} exists; "
-                "the bound may be too small to exhaust the class's simples",
-                file=sys.stderr,
-            )
-        simples = simple_set(found)
+        simples = simple_set(_simples_up_to(basis, args.simples_bound))
     return basis, simples
+
+
+def _simples_up_to(basis, bound: int):
+    """The class's simple permutations up to the bound, with a warning when
+    one has exactly that size: larger ones may then exist."""
+    found = simples_in_class(basis.patterns, bound)
+    if any(len(p) == bound for p in found):
+        print(
+            f"warning: a simple permutation of size {bound} exists; "
+            "the bound may be too small to exhaust the class's simples",
+            file=sys.stderr,
+        )
+    return found
 
 
 def _cmd_specify(args) -> int:
     basis, simples = _load_inputs(args)
     system = specification(basis, simples)
-    if args.probe_empty:
-        for lhs, eq in system.equations.items():
-            for t in suspect_empty_terms(eq):
-                if all(
-                    semantic_empty_probe(c, system.simples, args.probe_empty)
-                    for c in t.children
-                ):
-                    print(
-                        f"warning: term {t} of [{lhs}] looks empty up to size "
-                        f"{args.probe_empty}",
-                        file=sys.stderr,
-                    )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(jsonio.dumps_system(system))
     print(f"wrote {len(system.equations)} equations to {args.out}")
+    empty = empty_restrictions(system)
+    if empty:
+        terms = sum(
+            any(c in empty for c in t.children)
+            for eq in system.equations.values()
+            for t in eq.terms
+        )
+        print(f"empty (no members at any size): {len(empty)} equations, {terms} terms")
     return 0
 
 
@@ -240,14 +230,7 @@ def _cmd_oracle_enumerate(args) -> int:
 
 def _cmd_oracle_simples(args) -> int:
     basis = basis_of(jsonio.read_patterns_file(args.basis))
-    found = simples_in_class(basis.patterns, args.maxlen)
-    if any(len(p) == args.maxlen for p in found):
-        print(
-            f"warning: found a simple permutation of size {args.maxlen}; "
-            "larger ones may exist",
-            file=sys.stderr,
-        )
-    for p in sorted(found, key=sort_key):
+    for p in sorted(_simples_up_to(basis, args.maxlen), key=sort_key):
         print(p)
     return 0
 

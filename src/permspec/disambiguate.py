@@ -31,7 +31,6 @@ from .restrictions import (
     restriction,
     root_rank,
     term_provably_empty,
-    term_subset_sufficient,
 )
 from .system import (
     Basis,
@@ -160,20 +159,6 @@ def _dedupe(terms: list[RestrictionTerm]) -> list[RestrictionTerm]:
     for t in terms:
         seen.setdefault(t)
     return list(seen)
-
-
-def suspect_empty_terms(eq: Equation) -> tuple[RestrictionTerm, ...]:
-    """Terms of a disjoint equation provably included in a sibling.
-
-    Inside a disjoint union such a term must denote the empty set; it is
-    reported for an external semantic probe rather than silently removed,
-    since the inclusion lemma alone does not prove emptiness.
-    """
-    out = []
-    for t in eq.terms:
-        if any(u is not t and term_subset_sufficient(t, u) for u in eq.terms):
-            out.append(t)
-    return tuple(out)
 
 
 def ambiguous_system(basis: Basis, simples: SimpleSet) -> EquationSystem:

@@ -98,13 +98,23 @@ def system_from_obj(obj) -> EquationSystem:
                 [_perm_from_obj(v) for v in _field(lo, "contain", list)],
             )
         )
-    by_key = {restriction_key(r): r for r in lhss}
+    by_key: dict[str, Restriction] = {}
+    for r in lhss:
+        key = restriction_key(r)
+        if key in by_key:
+            raise InvalidInputError(f"system JSON: two equations define {key}")
+        by_key[key] = r
+    roots = {PLUS, MINUS, *simples}
     system = EquationSystem(simples, lhss[0])
     for lhs, eobj in zip(lhss, eobjs):
         terms = []
         for tobj in _field(eobj, "terms", list):
             robj = _field(tobj, "root", (str, list))
             root = PLUS if robj == "plus" else MINUS if robj == "minus" else _perm_from_obj(robj)
+            if root not in roots:
+                raise InvalidInputError(
+                    f"system JSON: term root {root} is neither 12, 21 nor one of closure_simples"
+                )
             children = []
             for key in _field(tobj, "children", list):
                 if not isinstance(key, str) or key not in by_key:

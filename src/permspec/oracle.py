@@ -154,17 +154,6 @@ def member_of_restriction(
     )
 
 
-def semantic_empty_probe(
-    r: Restriction, simples: Iterable[Permutation], bound: int
-) -> bool:
-    """True when the restriction has no members up to the bound.
-
-    Not a proof of emptiness, only evidence; never used to rewrite systems.
-    """
-    den = _Denotations(simples, bound)
-    return not any(den.members(r, n) for n in range(1, bound + 1))
-
-
 @dataclass
 class AuditReport:
     """Outcome of checking a system's equations against direct enumeration."""

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Protocol
 
 from .counting import _solve
 from .errors import InvalidInputError, SampleError
-from .oracle import member_of_restriction
 from .perms import Permutation, decompose
 from .restrictions import Restriction
 from .system import EquationSystem
@@ -210,41 +210,43 @@ def heatmap(tables: SamplingTables, n: int, count: int, rng: IntegerSource) -> l
 def derivation_probability(
     tables: SamplingTables, sigma: Permutation, key: Restriction | None = None
 ) -> Fraction:
-    """Exact probability that sampling at |sigma| outputs sigma.
+    """Exact probability that sampling at |sigma| from key (the class by
+    default) outputs sigma: its number of derivations over c_n.
 
-    Disjointness makes derivations unique, so this walks the one derivation
-    and multiplies the branch probabilities in rational arithmetic; a uniform
-    sampler returns 1/c_n for every member.  Verification-grade: the walk
-    re-checks child memberships by pattern containment, so keep sigma small
-    (the brute-force searches stop being cheap past size about 10).
+    One bottom-up walk over sigma's decomposition tree counts, for every node
+    and every equation, the derivations of the node's permutation from that
+    equation: the atom at size 1, plus, for each term whose root is the
+    node's root, the product of its children's counts.  A disjoint system
+    gives every member exactly one derivation, so a uniform sampler returns
+    1/c_n for each; a permutation with none is refused.
     """
-    if key is None:
-        key = tables.system.root
     n = len(sigma)
-    total = tables.counts[key][n]
-    if total == 0:
+    _check_size(tables, n)
+    system = tables.system
+    key = system.root if key is None else key
+    number = {k: i for i, k in enumerate(system.equations)}
+    atom = [int(eq.has_one) for eq in system.equations.values()]
+    by_root: dict[Permutation, list[tuple[int, list[int]]]] = {}
+    for i, eq in enumerate(system.equations.values()):
+        for t in eq.terms:
+            by_root.setdefault(t.root, []).append((i, [number[c] for c in t.children]))
+    # the tree breadth first, so children follow their parent: per node its
+    # root (None at a leaf) and the index of its first child
+    nodes: list[Permutation | None] = [sigma]
+    tree = []
+    for v, p in enumerate(nodes):
+        nodes[v] = None  # appending while iterating is safe; the block is done
+        root, kids = decompose(p) if len(p) > 1 else (None, ())
+        tree.append((root, len(nodes)))
+        nodes.extend(kids)
+    derivations = [atom] * len(tree)
+    for v in range(len(tree) - 1, -1, -1):
+        root, base = tree[v]
+        if root is not None:
+            derivations[v] = out = [0] * len(atom)
+            for i, children in by_root.get(root, ()):
+                out[i] += prod(derivations[base + j][c] for j, c in enumerate(children))
+    d = derivations[0][number[key]]
+    if d == 0:
         raise SampleError(f"{sigma} is not derivable from {key}")
-    eq = tables.system.equations[key]
-    if n == 1:
-        if not eq.has_one:
-            raise SampleError(f"{key} has no size-1 atom")
-        return Fraction(1, total)
-    root, kids = decompose(sigma)
-    matches = [
-        t
-        for t in eq.terms
-        if t.root == root
-        and all(
-            member_of_restriction(kid, child, tables.system.simples)
-            for kid, child in zip(kids, t.children)
-        )
-    ]
-    if len(matches) != 1:
-        raise SampleError(
-            f"{sigma} has {len(matches)} derivations under {key}; expected exactly 1"
-        )
-    prob = Fraction(1, total)
-    for kid, child in zip(kids, matches[0].children):
-        prob *= tables.counts[child][len(kid)]
-        prob *= derivation_probability(tables, kid, child)
-    return prob
+    return Fraction(d, tables.counts[key][n])

@@ -128,6 +128,29 @@ class EquationSystem:
         return "\n".join(str(eq) for eq in self.equations.values())
 
 
+def empty_restrictions(system: EquationSystem) -> set[Restriction]:
+    """The left-hand sides of the system that have no members at any size.
+
+    The least fixpoint of productivity: a restriction is non-empty when it
+    has the atom, or a term whose children are all non-empty.  Every term
+    root has size at least 2, so each child is strictly smaller than its
+    parent and a productive restriction really has members (Pivoteau, Salvy
+    & Soria, JCTA 2012).  A term is empty exactly when one of its children
+    is.
+    """
+    nonempty: set[Restriction] = set()
+    pending = dict(system.equations)
+    grew = True
+    while grew:
+        grew = False
+        for lhs, eq in list(pending.items()):
+            if eq.has_one or any(all(c in nonempty for c in t.children) for t in eq.terms):
+                nonempty.add(lhs)
+                del pending[lhs]
+                grew = True
+    return set(pending)
+
+
 def closure_equation(delta: str, simples: SimpleSet) -> Equation:
     """The decomposition-by-root equation for one part of the closure.
 

@@ -12,7 +12,8 @@ PUBLIC = [
     "class_counts", "class_members", "closure_equation", "closure_members",
     "coefficients", "complement_restriction", "complement_term", "contains",
     "counting", "decompose", "derivation_probability",
-    "disambiguate", "embeddings", "embeddings_for", "enumerate_class",
+    "disambiguate", "embeddings", "embeddings_for", "empty_restrictions",
+    "enumerate_class",
     "eqn_for_restriction", "errors", "generalized_substitute", "heatmap",
     "in_closure", "intersect_restrictions", "intersect_terms",
     "intervals_from", "is_empty_sufficient", "is_simple",

@@ -33,9 +33,9 @@ def test_specify_and_count_roundtrip(tmp_path, big_files, capsys):
     spec_path = tmp_path / "spec.json"
     code, out, _ = run(
         capsys, "specify", "--basis", str(basis), "--simples", str(simples),
-        "--out", str(spec_path), "--probe-empty", "4",
+        "--out", str(spec_path),
     )
-    assert code == 0 and "16 equations" in out
+    assert code == 0 and out.splitlines() == [f"wrote 16 equations to {spec_path}"]
 
     # byte-stable round trip, and the file holds the expected system
     text = spec_path.read_text()
@@ -149,6 +149,21 @@ def test_oracle_subcommands(tmp_path, big_files, capsys):
     assert code == 0 and "no violations" in out
 
 
+def test_specify_reports_empty_parts(tmp_path, capsys):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("2413\n3142\n21543\n12453\n")
+    spec_path = tmp_path / "spec.json"
+    code, out, err = run(
+        capsys, "specify", "--basis", str(basis), "--simples-bound", "4",
+        "--out", str(spec_path),
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        f"wrote 35 equations to {spec_path}",
+        "empty (no members at any size): 2 equations, 14 terms",
+    ]
+
+
 def test_simples_bound_warning(tmp_path, capsys):
     basis = tmp_path / "basis.txt"
     basis.write_text("1243\n2341\n2413\n41352\n531642\n")
@@ -159,6 +174,10 @@ def test_simples_bound_warning(tmp_path, capsys):
     )
     assert code == 0
     assert "may be too small" in err
+    # the oracle's search warns in the same words
+    code, out, oracle_err = run(capsys, "oracle", "simples", "--basis", str(basis),
+                                "--maxlen", "4")
+    assert code == 0 and out.strip() == "3 1 4 2" and oracle_err == err
 
 
 def test_domain_error_exit_code(tmp_path, capsys):
@@ -250,6 +269,30 @@ def test_malformed_spec_is_domain_error(tmp_path, capsys, text, field):
     assert field in one_line(err)
 
 
+def test_duplicate_equation_is_domain_error(tmp_path, sep_subclass_spec, capsys):
+    # a second equation for the class itself used to replace the first
+    obj = jsonio.system_to_obj(sep_subclass_spec)
+    obj["equations"].append(dict(obj["equations"][0], terms=[]))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "count", "--spec", str(spec_path), "-N", "5")
+    assert code == 1 and out == ""
+    assert "two equations" in one_line(err)
+
+
+def test_root_outside_the_closure_is_domain_error(tmp_path, capsys):
+    # a 2413 root in the separable closure used to count 1, 2, 6, 23, 100, ...
+    obj = jsonio.system_to_obj(ps.substitution_closed_spec(ps.simple_set([])))
+    first = obj["equations"][0]
+    key = jsonio.restriction_key(ps.restriction(""))
+    first["terms"].append({"root": [2, 4, 1, 3], "children": [key] * 4})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "count", "--spec", str(spec_path), "-N", "5")
+    assert code == 1 and out == ""
+    assert "closure_simples" in one_line(err)
+
+
 def test_uncertified_disjoint_flag_is_domain_error(tmp_path, capsys):
     # the ambiguous system of Av(2413,3142,2143) with every equation marked
     # disjoint would count 1, 3, 10, 38, ... instead of 1, 2, 6, 21, ...
@@ -284,17 +327,6 @@ def test_vacuous_audit_is_domain_error(tmp_path, av21_spec, capsys, nmax):
     )
     assert code == 1 and "no violations" not in out
     assert "nmax" in one_line(err)
-
-
-def test_negative_probe_bound_is_usage_error(tmp_path, big_files, capsys):
-    basis, simples = big_files
-    out = tmp_path / "spec.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["specify", "--basis", str(basis), "--simples", str(simples),
-              "--out", str(out), "--probe-empty", "-2"])
-    assert exc.value.code == 2
-    assert "--probe-empty" in one_line(capsys.readouterr().err)
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(

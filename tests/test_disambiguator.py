@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 import permspec as ps
-from permspec.disambiguate import suspect_empty_terms
 from permspec.errors import InvalidInputError
 from permspec.restrictions import RestrictionTerm, restriction
 from permspec.system import prune_terms
@@ -127,21 +126,6 @@ def test_specification_big_class_exact(big_spec, big_basis):
     assert system_as_dict(big_spec) == BIG_EXPECTED
     check_system_structure(big_spec, big_basis)
     assert big_spec.all_disjoint
-
-
-def test_no_suspect_empty_terms_on_fixtures(av132_spec, sep_subclass_spec, big_spec):
-    for spec in (av132_spec, sep_subclass_spec, big_spec):
-        for eq in spec.equations.values():
-            assert suspect_empty_terms(eq) == ()
-
-
-def test_suspect_empty_terms_flags_dominated_sibling():
-    from permspec.restrictions import Equation
-
-    narrow = RestrictionTerm(ps.PLUS, (R("+", ("12",)), R(avoid=("12", "21"))))
-    wide = RestrictionTerm(ps.PLUS, (R("+", ("12",)), R(avoid=("21",))))
-    eq = Equation(R(avoid=("132",)), True, (narrow, wide), disjoint=True)
-    assert suspect_empty_terms(eq) == (narrow,)
 
 
 def test_specification_is_deterministic(big_basis, big_simples, big_spec):

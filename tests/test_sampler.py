@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,29 @@ def test_exact_uniformity_big_class(big_tables, big_basis, n):
 def test_probability_of_non_member_raises(av132_tables):
     with pytest.raises(SampleError):
         ps.derivation_probability(av132_tables, P("132"))
+
+
+def test_probability_beyond_the_tables_is_refused(av132_tables):
+    with pytest.raises(InvalidInputError, match="outside table range"):
+        ps.derivation_probability(av132_tables, ps.Permutation(tuple(range(1, 10))))
+
+
+def test_exact_uniformity_of_large_draws(big_spec):
+    tables = ps.build_tables(big_spec, 500)
+    want = Fraction(1, tables.counts[big_spec.root][500])
+    rng = random.Random(500)
+    for sigma in ps.sample_many(tables, 500, 3, rng):
+        assert ps.derivation_probability(tables, sigma) == want
+
+
+def test_exact_uniformity_of_a_deep_tree(av132_spec):
+    # 12...1200 decomposes into a chain of 1199 plus nodes, deeper than the
+    # default recursion limit
+    tables = ps.build_tables(av132_spec, 1200)
+    sigma = ps.Permutation(tuple(range(1, 1201)))
+    assert sys.getrecursionlimit() < 1200
+    want = Fraction(1, tables.counts[av132_spec.root][1200])
+    assert ps.derivation_probability(tables, sigma) == want
 
 
 def test_sampling_large_size_runs():

@@ -9,7 +9,12 @@ from permspec.errors import (
     TrivialClassError,
 )
 from permspec.restrictions import RestrictionTerm, provably_empty, restriction
-from permspec.system import embedding_candidates, propagated_blocks, prune_terms
+from permspec.system import (
+    embedding_candidates,
+    empty_restrictions,
+    propagated_blocks,
+    prune_terms,
+)
 from props import check_add_constraints_semantics, check_system_structure
 
 P = ps.perm
@@ -229,3 +234,54 @@ def test_system_size_within_block_bound(av132_basis, sep_subclass_basis, big_bas
 
 def test_add_constraints_semantics_small():
     check_add_constraints_semantics(nmax=6, gmax=3)
+
+
+@pytest.fixture(scope="module")
+def dead_parts_spec():
+    """A class whose specification has 2 empty equations and 14 empty terms."""
+    basis = ps.basis_of([P(x) for x in ("2413", "3142", "21543", "12453")])
+    return ps.specification(basis, ps.simple_set([]))
+
+
+def test_empty_restrictions_match_zero_counts(
+    av132_spec, sep_subclass_spec, big_spec, five_root_spec, dead_parts_spec
+):
+    separable = ps.substitution_closed_spec(ps.simple_set([]))
+    for system in (av132_spec, sep_subclass_spec, big_spec, five_root_spec, separable,
+                   dead_parts_spec):
+        counts = ps.coefficients(system, 30)
+        zero = {r for r, series in counts.items() if not any(series)}
+        assert empty_restrictions(system) == zero
+    empty = empty_restrictions(dead_parts_spec)
+    terms = [t for eq in dead_parts_spec.equations.values() for t in eq.terms]
+    assert len(empty) == 2 and sum(bool(empty & set(t.children)) for t in terms) == 14
+    assert not empty_restrictions(big_spec)
+
+
+def test_empty_restrictions_have_no_members(dead_parts_spec):
+    # the restriction algebra cannot see these are empty, or pruning would
+    # have kept them off every right-hand side; the oracle finds no member
+    closure = ps.closure_members(dead_parts_spec.simples, 7)
+    for r in empty_restrictions(dead_parts_spec):
+        assert not ps.is_empty_sufficient(r)
+        for n in range(1, 8):
+            assert not any(
+                ps.member_of_restriction(p, r, dead_parts_spec.simples) for p in closure[n]
+            ), (r, n)
+
+
+def test_empty_restrictions_is_a_least_fixpoint():
+    # a restriction whose only term refers back to itself has no members,
+    # and neither has one that needs it
+    leaf_plus, leaf_minus = R("+", ("21",)), R("-", ("12",))
+    loop, dead = R(avoid=("21",)), R(avoid=("132",))
+    rhs = {
+        dead: (RestrictionTerm(ps.MINUS, (leaf_minus, loop)),),
+        loop: (RestrictionTerm(ps.PLUS, (leaf_plus, loop)),),
+        leaf_plus: (),
+        leaf_minus: (),
+    }
+    system = ps.EquationSystem((), dead)
+    for lhs, terms in rhs.items():
+        system.equations[lhs] = ps.Equation(lhs, not terms, terms, disjoint=True)
+    assert empty_restrictions(system) == {dead, loop}
