@@ -16,13 +16,7 @@ from .disambiguate import (
     eqn_for_restriction,
     specification,
 )
-from .embeddings import (
-    BlockDecomposition,
-    Embedding,
-    all_embeddings,
-    block_decompositions,
-    embeddings_for,
-)
+from .embeddings import all_embeddings
 from .errors import PermspecError
 from .oracle import (
     audit_specification,

@@ -173,8 +173,7 @@ def _cmd_ambiguous(args) -> int:
 
 
 def _read_system(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return jsonio.loads_system(fh.read())
+    return jsonio.loads_system(jsonio.read_text_file(path))
 
 
 def _tabulate(build, system, size: int):

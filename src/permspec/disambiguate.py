@@ -21,7 +21,7 @@ from typing import Callable
 
 from .embeddings import all_embeddings
 from .errors import InvalidInputError
-from .perms import Permutation
+from .perms import Permutation, contains
 from .restrictions import (
     Equation,
     RestrictionTerm,
@@ -58,11 +58,10 @@ def add_mandatory(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm, 
     out = []
     for emb in all_embeddings(g, t.root):
         children = list(t.children)
-        for k in range(1, len(t.root) + 1):
-            block = emb.block(k)
+        for k, block in enumerate(emb):
             if len(block) >= 2:
-                c = children[k - 1]
-                children[k - 1] = restriction(c.delta, c.avoid, c.contain + (block,))
+                c = children[k]
+                children[k] = restriction(c.delta, c.avoid, c.contain + (block,))
         out.append(RestrictionTerm(t.root, tuple(children)))
     return prune_terms(tuple(out))
 
@@ -194,7 +193,17 @@ def _build_system(
     restrictions off right-hand sides, so 1 is never a constraint.  Every
     restriction is thus a delta and, per block other than 1, avoided,
     required or free: at most 3^|B| of them, or 3 when B is empty.
+
+    A simple permutation that contains a basis pattern is refused: it is not
+    in the class, and its closure term would count non-members.
     """
+    for s in simples.simples:
+        for p in basis.patterns:
+            if contains(s, p):
+                raise InvalidInputError(
+                    f"simple permutation {s.compact()} contains the basis pattern "
+                    f"{p.compact()}, so it is not in the class"
+                )
     blocks = propagated_blocks(basis)
     root = restriction("", basis.b_star)
     system = EquationSystem(simples.simples, root)

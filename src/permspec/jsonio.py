@@ -191,6 +191,16 @@ def read_patterns_text(text: str) -> list[Permutation]:
     return out
 
 
+def read_text_file(path: str) -> str:
+    """A file's contents as UTF-8 text; any other bytes are an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(
+            f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def read_patterns_file(path: str) -> list[Permutation]:
-    with open(path, encoding="utf-8") as fh:
-        return read_patterns_text(fh.read())
+    return read_patterns_text(read_text_file(path))

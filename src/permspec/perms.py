@@ -277,26 +277,17 @@ def decompose(p: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
 def _maximal_interval_partition(p: Permutation) -> list[Interval]:
     """Partition of 1..n into maximal proper intervals plus singletons.
 
-    Only valid when p has no linear split at the root: maximal proper
-    intervals are then pairwise disjoint.
+    Only valid when p has no linear split at the root: the quotient is then
+    simple, so every interval other than (1, n) lies inside one part, and the
+    part starting at position i is the longest such interval from i.
     """
     n = len(p)
-    proper = proper_intervals(p)
-    maximal = [
-        iv
-        for iv in proper
-        if not any(o != iv and o[0] <= iv[0] and iv[1] <= o[1] for o in proper)
-    ]
-    maximal.sort()
     parts: list[Interval] = []
-    pos = 1
-    for (i, j) in maximal:
-        if i < pos:
-            raise DecompositionError(f"overlapping maximal intervals in {p}")
-        parts.extend((q, q) for q in range(pos, i))
+    i = 1
+    while i <= n:
+        j = max(j for (_, j) in intervals_from(p, i) if (i, j) != (1, n))
         parts.append((i, j))
-        pos = j + 1
-    parts.extend((q, q) for q in range(pos, n + 1))
+        i = j + 1
     return parts
 
 

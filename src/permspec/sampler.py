@@ -225,6 +225,8 @@ def derivation_probability(
     system = tables.system
     key = system.root if key is None else key
     number = {k: i for i, k in enumerate(system.equations)}
+    if key not in number:
+        raise InvalidInputError(f"{key} has no equation in the system")
     atom = [int(eq.has_one) for eq in system.equations.values()]
     by_root: dict[Permutation, list[tuple[int, list[int]]]] = {}
     for i, eq in enumerate(system.equations.values()):

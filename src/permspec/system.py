@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .embeddings import Embedding, all_embeddings
+from .embeddings import all_embeddings
 from .errors import InvalidInputError, NotAntichainError, TrivialClassError
 from .perms import (
     MINUS,
@@ -169,25 +169,6 @@ def closure_equation(delta: str, simples: SimpleSet) -> Equation:
     return Equation(restriction(delta), True, tuple(terms), disjoint=True)
 
 
-def embedding_candidates(g: Permutation, root: Permutation) -> list[tuple[Embedding, tuple[int, ...]]]:
-    """Each embedding of g into the root with the child positions that can
-    block it: positions whose assigned block has size at least 2.
-
-    A block of size 0 constrains nothing and a block of size 1 cannot be
-    avoided by a non-empty child, so neither can defuse its embedding.
-    """
-    out = []
-    for emb in all_embeddings(g, root):
-        cands = tuple(
-            k
-            for k in range(1, len(root) + 1)
-            if emb.assignment[k - 1] is not None
-            and emb.assignment[k - 1][1] > emb.assignment[k - 1][0]
-        )
-        out.append((emb, cands))
-    return out
-
-
 def add_constraints(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm, ...]:
     """Rewrite t constrained to avoid g as a union of restriction terms.
 
@@ -200,18 +181,25 @@ def add_constraints(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm
     """
     if len(g) <= 1:
         raise InvalidInputError("avoided pattern must have size at least 2")
-    per_embedding = embedding_candidates(g, t.root)
+    # the children that can block an embedding are those whose block has
+    # size at least 2: an empty block constrains nothing, and a single point
+    # cannot be avoided by a non-empty child
+    per_embedding = [
+        (emb, [k for k, block in enumerate(emb) if len(block) >= 2])
+        for emb in all_embeddings(g, t.root)
+    ]
     if any(not cands for _, cands in per_embedding):
         return ()
-    per_embedding.sort(key=lambda ec: (len(ec[1]), ec[0].sort_token()))
+    # stable, so ties keep all_embeddings' canonical order
+    per_embedding.sort(key=lambda ec: len(ec[1]))
     terms = (t,)
     for emb, cands in per_embedding:
         nxt: dict[RestrictionTerm, None] = {}
         for u in terms:
             for k in cands:
                 children = list(u.children)
-                c = children[k - 1]
-                children[k - 1] = restriction(c.delta, c.avoid + (emb.block(k),), c.contain)
+                c = children[k]
+                children[k] = restriction(c.delta, c.avoid + (emb[k],), c.contain)
                 nxt.setdefault(RestrictionTerm(t.root, tuple(children)))
         terms = prune_terms(tuple(nxt))
     return terms

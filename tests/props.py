@@ -79,10 +79,28 @@ def check_decomposition_uniqueness(nmax=8):
                 lo = min(lo, p.values[j - 1])
                 if lo == n - j + 1 and not is_minus_decomposable(pattern_at(p, (1, j))):
                     shapes += 1
-            for d in ps.block_decompositions(p):
-                if len(d) >= 4 and ps.is_simple(d.skeleton()):
+            for parts in block_decompositions(p):
+                skeleton = ps.normalize([p.values[i - 1] for (i, _) in parts])
+                if len(parts) >= 4 and ps.is_simple(skeleton):
                     shapes += 1
             assert shapes == 1, f"{p} admits {shapes} decomposition shapes"
+
+
+def block_decompositions(p):
+    """Every cut of 1..|p| into consecutive intervals of p, as sorted tuples
+    of (start, end) pairs, by a walk over intervals_from (which
+    check_interval_soundness checks against the direct definition)."""
+    n = len(p)
+    done = []
+    stack = [(iv,) for iv in ps.intervals_from(p, 1)]
+    while stack:
+        parts = stack.pop()
+        j = parts[-1][1]
+        if j == n:
+            done.append(parts)
+        else:
+            stack.extend(parts + (iv,) for iv in ps.intervals_from(p, j + 1))
+    return sorted(done)
 
 
 def check_interval_soundness(nmax=8, sample_at_max=None, seed=0):
@@ -119,15 +137,45 @@ def check_closure_downward_closed(nmax=7, simples=("3142",)):
 
 
 def check_embedding_invariants(gmax=4, tmax=4):
-    """Every produced embedding passes its construction-time validation and
-    there are at least |target| of them (the whole-block ones)."""
+    """Every produced embedding has one block per target position and
+    rebuilds g by generalized substitution, no two are equal, and there are
+    at least |target| of them (the whole-block ones)."""
     for gn in range(1, gmax + 1):
         for tn in range(1, tmax + 1):
             for g in all_perms(gn):
                 for t in all_perms(tn):
                     embs = ps.all_embeddings(g, t)
                     assert len(embs) >= len(t), (g, t)
-                    assert len({e.assignment for e in embs}) == len(embs)
+                    assert len(set(embs)) == len(embs), (g, t)
+                    for emb in embs:
+                        assert len(emb) == len(t), (g, t, emb)
+                        assert ps.generalized_substitute(t, emb) == g, (g, t, emb)
+
+
+def check_embeddings_exact(gmax=4, rootmax=4):
+    """all_embeddings gives exactly the tuples of consecutive, possibly empty
+    pieces of g, one per root position, whose generalized substitution into
+    the root rebuilds g, found by brute force over the compositions of |g|
+    into len(root) parts."""
+    for gn in range(1, gmax + 1):
+        for rn in range(1, rootmax + 1):
+            compositions = [
+                sizes
+                for sizes in itertools.product(range(gn + 1), repeat=rn)
+                if sum(sizes) == gn
+            ]
+            for g in all_perms(gn):
+                for root in all_perms(rn):
+                    want = set()
+                    for sizes in compositions:
+                        ends = list(itertools.accumulate(sizes))
+                        blocks = tuple(
+                            ps.normalize(g.values[end - size : end])
+                            for size, end in zip(sizes, ends)
+                        )
+                        if ps.generalized_substitute(root, blocks) == g:
+                            want.add(blocks)
+                    assert set(ps.all_embeddings(g, root)) == want, (g, root)
 
 
 def check_embedding_completeness(gmax=4, rootmax=4, childmax=3, trials=400, seed=1):
@@ -145,8 +193,8 @@ def check_embedding_completeness(gmax=4, rootmax=4, childmax=3, trials=400, seed
         direct = ps.contains(sigma, g)
         via_embeddings = any(
             all(
-                len(emb.block(k)) == 0 or ps.contains(kids[k - 1], emb.block(k))
-                for k in range(1, len(root) + 1)
+                len(block) == 0 or ps.contains(kid, block)
+                for kid, block in zip(kids, emb)
             )
             for emb in ps.all_embeddings(g, root)
         )
@@ -164,8 +212,8 @@ def check_embedding_completeness_exhaustive(gmax=3, rootmax=3, childmax=2):
                 direct = ps.contains(sigma, g)
                 via = any(
                     all(
-                        len(emb.block(k)) == 0 or ps.contains(kids[k - 1], emb.block(k))
-                        for k in range(1, len(root) + 1)
+                        len(block) == 0 or ps.contains(kid, block)
+                        for kid, block in zip(kids, emb)
                     )
                     for emb in ps.all_embeddings(g, root)
                 )

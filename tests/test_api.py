@@ -3,16 +3,16 @@
 import permspec as ps
 
 PUBLIC = [
-    "Basis", "BlockDecomposition", "EMPTY", "Embedding",
+    "Basis", "EMPTY",
     "Equation", "EquationSystem", "MINUS", "ONE", "PLUS",
     "PermspecError", "Permutation", "Restriction",
     "RestrictionTerm", "SimpleSet", "add_constraints", "add_mandatory",
     "all_embeddings", "ambiguous_system", "audit_specification", "avoids",
-    "basis_of", "block_decompositions", "build_tables",
+    "basis_of", "build_tables",
     "class_counts", "class_members", "closure_equation", "closure_members",
     "coefficients", "complement_restriction", "complement_term", "contains",
     "counting", "decompose", "derivation_probability",
-    "disambiguate", "embeddings", "embeddings_for", "empty_restrictions",
+    "disambiguate", "embeddings", "empty_restrictions",
     "enumerate_class",
     "eqn_for_restriction", "errors", "generalized_substitute", "heatmap",
     "in_closure", "intersect_restrictions", "intersect_terms",

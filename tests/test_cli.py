@@ -248,6 +248,37 @@ def test_missing_input_file_is_domain_error(tmp_path, big_files, capsys, missing
     assert "absent.txt" in one_line(err)
 
 
+@pytest.mark.parametrize("bad", ["--spec", "--basis", "--simples"])
+def test_non_utf8_input_file_is_domain_error(tmp_path, big_files, capsys, bad):
+    basis, simples = big_files
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"3142\n\xff\n")
+    out = str(tmp_path / "spec.json")
+    argv = {
+        "--spec": ["count", "--spec", str(binary), "-N", "5"],
+        "--basis": ["specify", "--basis", str(binary), "--simples", str(simples), "--out", out],
+        "--simples": ["specify", "--basis", str(basis), "--simples", str(binary), "--out", out],
+    }[bad]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "binary.txt is not UTF-8" in one_line(err)
+
+
+@pytest.mark.parametrize("command", ["specify", "ambiguous"])
+def test_simple_containing_a_basis_pattern_is_domain_error(tmp_path, capsys, command):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("2413\n3142\n21354\n")
+    simples = tmp_path / "simples.txt"
+    simples.write_text("2413\n")
+    out = tmp_path / "spec.json"
+    code, _, err = run(
+        capsys, command, "--basis", str(basis), "--simples", str(simples), "--out", str(out)
+    )
+    assert code == 1
+    assert "2413 contains the basis pattern 2413" in one_line(err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text,field",
     [

@@ -33,8 +33,7 @@ def test_add_mandatory_matches_naive_union():
     naive = []
     for emb in ps.all_embeddings(g, t.root):
         children = []
-        for k in range(1, 5):
-            block = emb.block(k)
+        for block in emb:
             if len(block) >= 2:
                 children.append(ps.intersect_restrictions(R(), R(contain=(block.compact(),))))
             else:
@@ -45,6 +44,18 @@ def test_add_mandatory_matches_naive_union():
     )
     assert expected_member in naive
     assert set(ps.add_mandatory(t, g)) == set(prune_terms(tuple(naive)))
+
+
+@pytest.mark.parametrize("build", [ps.specification, ps.ambiguous_system])
+def test_simple_containing_a_basis_pattern_is_refused(build):
+    # 2413 is in the basis, so the class has no simple 2413 and counting it
+    # would add members of size 4 that the class does not have
+    basis = ps.basis_of([P("2413"), P("3142"), P("21354")])
+    with pytest.raises(InvalidInputError, match="2413 contains the basis pattern 2413"):
+        build(basis, ps.simple_set([P("2413")]))
+    # a proper pattern counts too: 2413 has 243, a copy of 132
+    with pytest.raises(InvalidInputError, match="2413 contains the basis pattern 132"):
+        build(ps.basis_of([P("132")]), ps.simple_set([P("2413")]))
 
 
 def test_add_mandatory_rejects_tiny_patterns():

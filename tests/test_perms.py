@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,19 @@ def test_decompose_fixtures():
     root, children = ps.decompose(big)
     assert root == P("2413")
     assert children == (P("476519328"), P("1"), P("12"), P("35241"))
+
+
+def test_decompose_large_inflation_of_a_simple():
+    # 3142 inflated by four increasing runs of 250: no linear split, so the
+    # parts are the maximal intervals, found in one pass
+    run = ps.Permutation(tuple(range(1, 251)))
+    p = ps.substitute(P("3142"), [run] * 4)
+    start = time.perf_counter()
+    root, children = ps.decompose(p)
+    elapsed = time.perf_counter() - start
+    assert root == P("3142")
+    assert children == (run,) * 4
+    assert elapsed < 1.0, f"decompose of size 1000 took {elapsed:.2f} s"
 
 
 def test_decompose_rejects_small():

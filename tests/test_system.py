@@ -9,12 +9,7 @@ from permspec.errors import (
     TrivialClassError,
 )
 from permspec.restrictions import RestrictionTerm, provably_empty, restriction
-from permspec.system import (
-    embedding_candidates,
-    empty_restrictions,
-    propagated_blocks,
-    prune_terms,
-)
+from permspec.system import empty_restrictions, propagated_blocks, prune_terms
 from props import check_add_constraints_semantics, check_system_structure
 
 P = ps.perm
@@ -98,14 +93,18 @@ def test_add_constraints_132_into_3142_is_empty():
 def naive_constraint_vectors(t, g):
     """Reference tuple-set enumeration: the full product over embeddings of
     one blocking child each, no pruning."""
-    per = embedding_candidates(g, t.root)
+    # a child can block an embedding when its block has size at least 2
+    per = [
+        (emb, [k for k, block in enumerate(emb) if len(block) >= 2])
+        for emb in ps.all_embeddings(g, t.root)
+    ]
     if any(not cands for _, cands in per):
         return []
     out = []
     for combo in itertools.product(*[cands for _, cands in per]):
         additions = [set() for _ in range(len(t.root))]
         for (emb, _), k in zip(per, combo):
-            additions[k - 1].add(emb.block(k))
+            additions[k].add(emb[k])
         out.append(additions)
     return out
 
