@@ -7,7 +7,6 @@ from .counting import (
     coefficients,
     quadratic_residual,
     substitution_closed_spec,
-    to_gf_system,
 )
 from .disambiguate import (
     add_mandatory,

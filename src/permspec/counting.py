@@ -1,69 +1,45 @@
-"""From a specification to its counting sequence.
+"""From a specification to its counting sequence and its draw plan.
 
-A disjoint system translates directly to equations on ordinary generating
-functions: the atom becomes z, a term becomes the product of its children's
-series, a union becomes a sum.  The resulting positive system is solved as a
-truncated-series fixed point evaluated in size order: every term has at least
-two children of positive valuation, so each coefficient depends only on
-strictly smaller ones and a single size-major sweep is exact.  The sweep
-keeps, for every term, the series of the products of its first j children;
-the last one is the term's own series, and the sampler reuses all of them to
-split sizes among children.  A prefix product is named by its ordered child
-tuple, and terms of different equations often begin with the same children,
-so each distinct product is one series, computed once per size and shared by
-every term that starts with it (the recursive method's binary products,
-Flajolet, Zimmermann & Van Cutsem 1994).  The shared lists are read-only
-once the sweep returns.  All arithmetic is arbitrary-precision integer.
+A disjoint system is itself a positive algebraic system for the ordinary
+generating functions: the atom is z, a term is the product of its children's
+series, a union is a sum.  It is solved as a truncated-series fixed point
+evaluated in size order: every term has at least two children of positive
+valuation, so each coefficient depends only on strictly smaller ones and a
+single size-major sweep is exact.  The sweep keeps, for every term, the
+series of the products of its first j children; the last one is the term's
+own series, and the sampler reuses all of them to split sizes among
+children.  A prefix product is named by its ordered child tuple, and terms
+of different equations often begin with the same children, so each distinct
+product is one series, computed once per size and shared by every term that
+starts with it (the recursive method's binary products, Flajolet, Zimmermann
+& Van Cutsem 1994).  All arithmetic is arbitrary-precision integer.
+
+The sweep reads its series from the draw plan, which it returns with the
+counts.  The plan numbers the equations from 0 (the root) and holds, per
+equation, its count series, whether it has the atom, and its terms; per
+term, its weight series, its children's numbers, its prefix rows (row 0 is
+the first child's counts, row j >= 1 the one series of the children 0..j,
+the last row the weight series), its children's count lists, and its child
+positions in increasing root value.  Every series in the plan is the very
+list held in the counts or shared between prefixes, never copied, so a draw
+looks up no restriction; all of them are read-only once the sweep returns.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import InvalidInputError, NonDisjointSystemError
 from .restrictions import Restriction, restriction
 from .system import EquationSystem, SimpleSet, closure_equation
 
-
-@dataclass(frozen=True)
-class GFEquation:
-    lhs: Restriction
-    has_one: bool
-    terms: tuple[tuple[Restriction, ...], ...]
-
-
-@dataclass(frozen=True)
-class GFSystem:
-    root: Restriction
-    equations: tuple[GFEquation, ...]
-
-    def equation_strings(self) -> list[str]:
-        def name(r: Restriction) -> str:
-            return f"F[{r}]"
-
-        out = []
-        for eq in self.equations:
-            parts = (["z"] if eq.has_one else []) + [
-                " * ".join(name(c) for c in t) for t in eq.terms
-            ]
-            out.append(f"{name(eq.lhs)} = {' + '.join(parts) if parts else '0'}")
-        return out
-
-
-def to_gf_system(spec: EquationSystem) -> GFSystem:
-    """Translate a disjoint equation system into its generating-function system."""
-    if not spec.all_disjoint:
-        raise NonDisjointSystemError(
-            "system has ambiguous unions; its term sums would overcount"
-        )
-    eqs = []
-    for lhs, eq in spec.equations.items():
-        for t in eq.terms:
-            if len(t.children) < 2:
-                raise InvalidInputError("term with fewer than two children")
-        eqs.append(GFEquation(lhs, eq.has_one, tuple(t.children for t in eq.terms)))
-    return GFSystem(spec.root, tuple(eqs))
+# One term of the plan: (weight series, child numbers, prefix rows, child
+# count lists, child positions in increasing root value).
+PlanTerm = tuple[
+    list[int], tuple[int, ...], list[list[int]], tuple[list[int], ...], tuple[int, ...]
+]
+# One equation of the plan: (count series, has the atom, terms).
+PlanEquation = tuple[list[int], bool, tuple[PlanTerm, ...]]
 
 
 def coefficients(spec: EquationSystem, order: int) -> dict[Restriction, list[int]]:
@@ -75,53 +51,57 @@ def coefficients(spec: EquationSystem, order: int) -> dict[Restriction, list[int
 
 def _solve(
     spec: EquationSystem, order: int
-) -> tuple[dict[Restriction, list[int]], dict[Restriction, list[list[list[int]]]]]:
-    """Counts c[0..order] per restriction, and per equation the prefix
-    products of its terms: prefixes[lhs][i][j][n] counts the inflations of
-    children 0..j of the i-th term with total size n, so entry 0 is the first
-    child's counts and the last entry is the term's series.
-
-    Entry j >= 1 is the one series of the child tuple t[:j+1]: terms that
-    share a prefix hold the same list object, so callers must not mutate it.
+) -> tuple[dict[Restriction, list[int]], tuple[PlanEquation, ...]]:
+    """Counts c[0..order] per restriction, in the system's order, and the
+    draw plan over the same lists.
 
     Size-major evaluation of the fixed point: when size n is processed, every
     product only reads coefficients of sizes below n, which are final.
     """
-    gf = to_gf_system(spec)
-    counts: dict[Restriction, list[int]] = {
-        eq.lhs: [0] * (order + 1) for eq in gf.equations
-    }
+    if not spec.all_disjoint:
+        raise NonDisjointSystemError(
+            "system has ambiguous unions; its term sums would overcount"
+        )
+    counts = {lhs: [0] * (order + 1) for lhs in spec.equations}
+    keys = [spec.root] + [k for k in spec.equations if k != spec.root]
+    number = {k: i for i, k in enumerate(keys)}
     shared: dict[tuple[Restriction, ...], list[int]] = {}
     # (series, left factor, right factor's counts), each distinct product once
     steps: list[tuple[list[int], list[int], list[int]]] = []
-    prefixes: dict[Restriction, list[list[list[int]]]] = {}
-    for eq in gf.equations:
-        rows = []
+    plan = []
+    for key in keys:
+        eq = spec.equations[key]
+        terms = []
         for t in eq.terms:
-            row = [counts[t[0]]]
-            for j in range(1, len(t)):
-                key = t[: j + 1]
-                series = shared.get(key)
+            kids = t.children
+            rows = [counts[kids[0]]]
+            for j in range(1, len(kids)):
+                prefix = kids[: j + 1]
+                series = shared.get(prefix)
                 if series is None:
-                    series = shared[key] = [0] * (order + 1)
-                    steps.append((series, row[-1], counts[t[j]]))
-                row.append(series)
-            rows.append(row)
-        prefixes[eq.lhs] = rows
-    sums = [
-        (counts[eq.lhs], eq.has_one, [row[-1] for row in prefixes[eq.lhs]])
-        for eq in gf.equations
-    ]
+                    series = shared[prefix] = [0] * (order + 1)
+                    steps.append((series, rows[-1], counts[kids[j]]))
+                rows.append(series)
+            terms.append(
+                (
+                    rows[-1],
+                    tuple(number[c] for c in kids),
+                    rows,
+                    tuple(counts[c] for c in kids),
+                    tuple(sorted(range(len(kids)), key=t.root.values.__getitem__)),
+                )
+            )
+        plan.append((counts[key], eq.has_one, tuple(terms)))
     mul = operator.mul
     for n in range(1, order + 1):
         for series, left, right in steps:
             series[n] = sum(map(mul, left[n - 1 : 0 : -1], right[1:n]))
-        for arr, has_one, term_series in sums:
-            arr[n] = (1 if has_one and n == 1 else 0) + sum(s[n] for s in term_series)
+        for total, has_one, terms in plan:
+            total[n] = (1 if has_one and n == 1 else 0) + sum(t[0][n] for t in terms)
     for lhs, arr in counts.items():
         if arr[0] != 0 or arr[1] not in (0, 1):
             raise AssertionError(f"count table for {lhs} violates c0=0, c1<=1")
-    return counts, prefixes
+    return counts, tuple(plan)
 
 
 def class_counts(spec: EquationSystem, order: int) -> list[int]:

@@ -168,7 +168,7 @@ def dumps_system(system: EquationSystem) -> str:
 def loads_system(text: str) -> EquationSystem:
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"system file is not JSON: {exc}") from None
     return system_from_obj(obj)
 

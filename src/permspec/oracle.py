@@ -39,14 +39,6 @@ from .restrictions import Restriction
 from .system import EquationSystem
 
 
-def _grow(members: list[Permutation], size: int) -> Iterable[Permutation]:
-    """Candidates of the next size: insert the new maximum everywhere."""
-    for p in members:
-        for pos in range(size):
-            vals = p.values[:pos] + (size,) + p.values[pos:]
-            yield Permutation(vals)
-
-
 def enumerate_class(patterns: Sequence[Permutation], n: int) -> list[Permutation]:
     """All size-n permutations avoiding every basis pattern."""
     return class_members(patterns, n)[n]
@@ -125,12 +117,14 @@ def closure_members(simples: Iterable[Permutation], nmax: int) -> dict[int, list
     level = out[1]
     for n in range(2, nmax + 1):
         nxt = []
-        for p in _grow(level, n):
-            root, kids = decompose(p)
-            if (root == PLUS or root == MINUS or root in allowed) and all(
-                k in known for k in kids
-            ):
-                nxt.append(p)
+        # no pattern blocks a slot, so each parent yields all its children
+        for parent in level:
+            for p in _avoiding_children(parent, n, ()):
+                root, kids = decompose(p)
+                if (root == PLUS or root == MINUS or root in allowed) and all(
+                    k in known for k in kids
+                ):
+                    nxt.append(p)
         known.update(nxt)
         out[n] = nxt
         level = nxt

@@ -4,18 +4,10 @@ The recursive method: every probabilistic choice is weighted by exact counts,
 so the output distribution at each size is exactly uniform.  Choices are made
 by integer thresholds against a caller-supplied source of uniform integers
 (random.Random works); no floating point enters the probability path.
-The tables are the counting pass's own output: the counts, and every term's
-prefix products, which weight the split of a term's size among its children
-drawn right to left.  A prefix product is one list per distinct ordered
-child tuple, shared by every term that begins with those children.  Tables
-are read-only after build and safe to share between samplers.
-
-`build_tables` also compiles the tables once into a plan: the equations
-numbered from 0 (the root), and per term its weight series, its children's
-numbers, its prefix rows, its children's count lists and the order of its
-children by root value.  Every series in the plan is the very list held in
-`counts` or `prefixes`, shared read-only and never copied, so a draw looks
-up no restriction and the plan costs no memory beyond its tuples.
+The tables are the counting pass's own output: the counts, and the draw
+plan described in `counting`, whose prefix products weight the split of a
+term's size among its children, drawn right to left.  Tables are read-only
+after build and safe to share between samplers.
 
 A draw is one walk down the derivation, children left to right.  Every node
 knows the positions and values it will occupy in the output: its first
@@ -32,7 +24,7 @@ from fractions import Fraction
 from math import prod
 from typing import Protocol
 
-from .counting import _solve
+from .counting import PlanEquation, _solve
 from .errors import InvalidInputError, SampleError
 from .perms import Permutation, decompose
 from .restrictions import Restriction
@@ -43,63 +35,22 @@ class IntegerSource(Protocol):
     def randrange(self, bound: int) -> int: ...
 
 
-# One term of the plan: (weight series, child numbers, prefix rows, child
-# count lists, child positions in increasing root value).
-PlanTerm = tuple[
-    list[int], tuple[int, ...], list[list[int]], tuple[list[int], ...], tuple[int, ...]
-]
-# One equation of the plan: (count series, has the atom, terms).
-PlanEquation = tuple[list[int], bool, tuple[PlanTerm, ...]]
-
-
 @dataclass(frozen=True)
 class SamplingTables:
     system: EquationSystem
     limit: int
     counts: dict[Restriction, list[int]]
-    # prefixes[lhs][i][j][s] counts inflations of children 0..j of the
-    # equation's i-th term with total size s; the last entry is the term's
-    # weight series.  Entry j >= 1 is the one list of the child tuple
-    # children[:j+1], shared with every term that starts with it, and the
-    # plan holds these same lists, so all of them are read-only
-    prefixes: dict[Restriction, list[list[list[int]]]]
-    # the tables compiled for the draw walk, root equation first
+    # the counting pass's draw plan, root equation first, over the lists
+    # of `counts`; all of them are read-only
     plan: tuple[PlanEquation, ...] = field(repr=False, compare=False)
 
 
 def build_tables(spec: EquationSystem, limit: int) -> SamplingTables:
-    """Counts plus every term's prefix products, up to the size limit, from
-    one counting pass, compiled into the draw plan."""
+    """Counts and the draw plan, up to the size limit, from one counting
+    pass."""
     if limit < 1:
         raise InvalidInputError("size limit must be at least 1")
-    counts, prefixes = _solve(spec, limit)
-    return SamplingTables(spec, limit, counts, prefixes, _compile(spec, counts, prefixes))
-
-
-def _compile(
-    spec: EquationSystem,
-    counts: dict[Restriction, list[int]],
-    prefixes: dict[Restriction, list[list[list[int]]]],
-) -> tuple[PlanEquation, ...]:
-    """Number the equations, root first, and resolve every child to its
-    number and count list, sharing the counting pass's lists."""
-    keys = [spec.root] + [k for k in spec.equations if k != spec.root]
-    number = {k: i for i, k in enumerate(keys)}
-    plan = []
-    for key in keys:
-        eq = spec.equations[key]
-        terms = tuple(
-            (
-                rows[-1],
-                tuple(number[c] for c in t.children),
-                rows,
-                tuple(counts[c] for c in t.children),
-                tuple(sorted(range(len(t.children)), key=t.root.values.__getitem__)),
-            )
-            for t, rows in zip(eq.terms, prefixes[key])
-        )
-        plan.append((counts[key], eq.has_one, terms))
-    return tuple(plan)
+    return SamplingTables(spec, limit, *_solve(spec, limit))
 
 
 def _check_size(tables: SamplingTables, n: int) -> None:

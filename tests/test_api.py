@@ -21,7 +21,7 @@ PUBLIC = [
     "perms", "quadratic_residual", "restriction", "restrictions", "sample",
     "sample_many", "sampler", "simple_set", "simples_in_class",
     "specification", "subset_sufficient", "substitute",
-    "substitution_closed_spec", "system", "term", "to_gf_system",
+    "substitution_closed_spec", "system", "term",
 ]
 
 

@@ -284,6 +284,7 @@ def test_simple_containing_a_basis_pattern_is_domain_error(tmp_path, capsys, com
     [
         ("{}", "closure_simples"),
         ("not json at all\n", "not JSON"),
+        pytest.param("[" * 100_000, "not JSON", id="deeply-nested"),
         ('{"closure_simples": [], "equations": "C<>"}', "equations"),
         (
             '{"closure_simples": [], "equations": [{"lhs": {"delta": "", "avoid": [[2, 1]], '

@@ -31,20 +31,19 @@ def closed_form_series(order):
 def reference_coefficients(spec, order):
     """Literal fixed-point iteration: every pass recomputes every series from
     the previous pass; coefficients up to n are stable after n passes."""
-    gf = ps.to_gf_system(spec)
-    cur = {eq.lhs: [0] * (order + 1) for eq in gf.equations}
+    cur = {lhs: [0] * (order + 1) for lhs in spec.equations}
     for pass_no in range(1, order + 2):
         nxt = {}
-        for eq in gf.equations:
+        for lhs, eq in spec.equations.items():
             arr = [0] * (order + 1)
             if eq.has_one:
                 arr[1] += 1
             for t in eq.terms:
                 prod = [1] + [0] * order
-                for child in t:
+                for child in t.children:
                     prod = convolve(prod, cur[child], order)
                 arr = [a + b for a, b in zip(arr, prod)]
-            nxt[eq.lhs] = arr
+            nxt[lhs] = arr
         for key in cur:
             stable = min(pass_no - 1, order)
             assert nxt[key][: stable + 1] == cur[key][: stable + 1], (
@@ -57,20 +56,20 @@ def reference_coefficients(spec, order):
 def test_gf_system_shape_av21():
     basis = ps.basis_of([P("21")])
     spec = ps.specification(basis, ps.simple_set([]))
-    gf = ps.to_gf_system(spec)
-    eqs = {str(eq.lhs): eq for eq in gf.equations}
+    eqs = {str(lhs): eq for lhs, eq in spec.equations.items()}
     assert eqs["C<21>"].has_one
-    assert [tuple(str(c) for c in t) for t in eqs["C<21>"].terms] == [("C+<21>", "C<21>")]
+    assert [tuple(str(c) for c in t.children) for t in eqs["C<21>"].terms] == [
+        ("C+<21>", "C<21>")
+    ]
     assert eqs["C+<21>"].terms == ()
-    assert any("F[C<21>] = z + F[C+<21>] * F[C<21>]" == s for s in gf.equation_strings())
 
 
 def test_gf_refuses_ambiguous_system(big_basis, big_simples):
     amb = ps.ambiguous_system(big_basis, big_simples)
     with pytest.raises(NonDisjointSystemError):
-        ps.to_gf_system(amb)
-    with pytest.raises(NonDisjointSystemError):
         ps.coefficients(amb, 5)
+    with pytest.raises(NonDisjointSystemError):
+        ps.build_tables(amb, 5)
 
 
 def test_counts_av21():
@@ -123,15 +122,22 @@ def test_count_tables_are_pinned(big_spec, five_root_spec, sep_subclass_spec):
 
 def test_equal_prefixes_share_one_series(big_spec):
     tables = ps.build_tables(big_spec, 20)
+    counts = tables.counts
+    keys = [big_spec.root] + [k for k in big_spec.equations if k != big_spec.root]
     by_prefix = {}
-    for lhs, eq in big_spec.equations.items():
-        for t, row in zip(eq.terms, tables.prefixes[lhs]):
-            assert row[0] is tables.counts[t.children[0]]
-            for j in range(1, len(row)):
-                by_prefix.setdefault(t.children[: j + 1], []).append(row[j])
+    for key, (total, has_one, terms) in zip(keys, tables.plan):
+        for t, (weight, _, rows, _, _) in zip(big_spec.equations[key].terms, terms):
+            assert rows[0] is counts[t.children[0]] and weight is rows[-1]
+            for j in range(1, len(rows)):
+                assert rows[j] == convolve(rows[j - 1], counts[t.children[j]], 20)
+                by_prefix.setdefault(t.children[: j + 1], []).append(rows[j])
+        for n in range(21):
+            atom = int(has_one and n == 1)
+            assert total[n] == atom + sum(term[0][n] for term in terms)
+    # one list per distinct ordered child prefix, shared by every term
     assert all(all(s is lists[0] for s in lists) for lists in by_prefix.values())
     assert sum(len(lists) for lists in by_prefix.values()) == 40
-    assert len({id(s) for lists in by_prefix.values() for s in lists}) == 18
+    assert len({id(s) for lists in by_prefix.values() for s in lists}) == len(by_prefix) == 18
 
 
 def test_substitution_closed_spec_shapes():

@@ -199,16 +199,23 @@ def test_plan_shares_the_counting_lists(big_tables):
     system, counts = big_tables.system, big_tables.counts
     keys = [system.root] + [k for k in system.equations if k != system.root]
     assert len(big_tables.plan) == len(keys)
+    assert big_tables.plan[0][0] is counts[system.root]
+    by_prefix = {}
     for key, (total, has_one, terms) in zip(keys, big_tables.plan):
         eq = system.equations[key]
         assert total is counts[key] and has_one == eq.has_one
-        assert len(terms) == len(eq.terms) == len(big_tables.prefixes[key])
-        for t, rows, compiled in zip(eq.terms, big_tables.prefixes[key], terms):
-            weight, kids, plan_rows, kid_counts, order = compiled
-            assert plan_rows is rows and weight is rows[-1]
+        assert len(terms) == len(eq.terms)
+        for t, (weight, kids, rows, kid_counts, order) in zip(eq.terms, terms):
+            assert len(rows) == len(t.children) and weight is rows[-1]
+            assert rows[0] is counts[t.children[0]]
+            for j in range(1, len(rows)):
+                by_prefix.setdefault(t.children[: j + 1], set()).add(id(rows[j]))
             assert [keys[i] for i in kids] == list(t.children)
             assert all(c is counts[child] for c, child in zip(kid_counts, t.children))
             assert [t.root.values[c] for c in order] == sorted(t.root.values)
+    # rows j >= 1: one list per distinct ordered child prefix
+    assert all(len(ids) == 1 for ids in by_prefix.values())
+    assert len(set().union(*by_prefix.values())) == len(by_prefix) == 18
 
 
 def test_negative_sample_counts_are_refused(av21_tables):
