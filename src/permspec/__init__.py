@@ -56,7 +56,15 @@ from .restrictions import (
     subset_sufficient,
     term,
 )
-from .sampler import build_tables, derivation_probability, heatmap, sample, sample_many
+from .sampler import (
+    build_tables,
+    derivation_probability,
+    heatmap,
+    rank,
+    sample,
+    sample_many,
+    unrank,
+)
 from .system import (
     Basis,
     EquationSystem,

@@ -18,10 +18,10 @@ PUBLIC = [
     "in_closure", "intersect_restrictions", "intersect_terms",
     "intervals_from", "is_empty_sufficient", "is_simple",
     "member_of_restriction", "normalize", "occurrences", "oracle", "perm",
-    "perms", "quadratic_residual", "restriction", "restrictions", "sample",
-    "sample_many", "sampler", "simple_set", "simples_in_class",
+    "perms", "quadratic_residual", "rank", "restriction", "restrictions",
+    "sample", "sample_many", "sampler", "simple_set", "simples_in_class",
     "specification", "subset_sufficient", "substitute",
-    "substitution_closed_spec", "system", "term",
+    "substitution_closed_spec", "system", "term", "unrank",
 ]
 
 

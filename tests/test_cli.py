@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -376,3 +379,13 @@ def test_huge_size_is_domain_error(tmp_path, av21_spec, capsys, argv):
     assert code == 1 and out == ""
     assert "too large" in one_line(err)
     assert not (tmp_path / "grid.csv").exists()
+
+
+def test_module_entry_point(av21_spec):
+    # python -m permspec runs the CLI from a source tree, without installing
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ps.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "permspec", "count", "--spec", str(av21_spec), "-N", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\t1\n2\t1\n3\t1\n", "")

@@ -131,24 +131,24 @@ def test_sampling_large_size_runs():
     assert len(p) == 120
 
 
-# First draws for fixed seeds, recorded before the sampler wrote values in
-# place; they pin both the order the walk consumes the source and where it
-# puts every block.
+# First draws for fixed seeds, recorded when a draw became the unranking of
+# one uniform integer; they pin the rank order (term offsets, splits scanned
+# from both ends, mixed-radix child ranks) and where the walk puts every block.
 PINNED_FIVE_ROOT_60 = [
-    "54 53 52 51 50 57 56 55 48 43 42 46 45 44 41 37 40 39 38 36 32 33 29 28 26 30 27 25 21 "
-    "23 22 17 19 18 16 7 8 5 6 3 1 4 2 9 10 11 12 13 14 15 20 24 31 34 35 47 49 58 59 60",
-    "60 59 57 56 58 54 52 51 50 49 53 48 45 46 43 41 39 36 35 34 38 37 31 28 27 29 26 25 24 "
-    "23 18 20 19 15 14 12 10 13 11 9 8 1 7 6 4 2 3 5 16 17 21 22 30 32 33 40 42 44 47 55",
-    "60 59 53 58 57 56 55 54 49 51 50 47 46 45 43 44 37 41 40 39 38 32 31 34 33 29 30 28 27 "
-    "24 25 20 19 18 22 21 17 16 15 1 14 13 10 11 9 5 4 2 3 6 7 8 12 23 26 35 36 42 48 52",
+    "58 55 59 57 56 54 53 50 49 51 46 43 48 47 45 44 41 40 42 38 36 37 35 32 31 30 29 28 27 "
+    "33 24 23 25 21 22 19 18 20 17 15 14 11 8 5 4 1 6 3 2 7 9 10 12 13 16 26 34 39 52 60",
+    "59 58 56 57 54 53 50 49 47 52 51 48 45 44 46 43 41 40 42 38 37 35 39 36 33 34 31 30 27 "
+    "28 25 23 22 21 26 24 20 18 17 16 15 11 10 1 9 12 5 6 2 3 4 7 8 13 14 19 29 32 55 60",
+    "59 60 58 55 56 51 50 48 53 52 49 46 44 42 45 43 36 39 38 37 35 33 28 29 26 20 19 25 24 "
+    "23 22 21 17 16 11 12 8 6 7 5 1 3 2 4 9 10 13 14 15 18 27 30 31 32 34 40 41 47 54 57",
 ]
 PINNED_SEPARABLE_40 = [
-    "1 2 3 4 23 26 27 33 30 29 32 31 28 25 39 38 40 34 37 35 36 24 22 21 10 11 8 9 15 17 16 "
-    "14 13 12 18 19 7 20 6 5",
-    "2 31 3 30 4 25 5 7 11 19 17 16 18 13 14 12 15 22 20 21 23 24 8 9 10 6 27 26 28 29 1 39 "
-    "38 40 32 35 34 36 33 37",
-    "4 3 2 34 5 6 14 27 23 21 22 24 26 25 17 18 19 20 28 32 30 29 31 16 33 15 13 9 10 7 8 11 "
-    "12 35 38 37 40 39 36 1",
+    "1 33 34 32 31 30 35 28 29 36 15 20 21 16 18 19 17 22 8 7 14 11 10 9 12 13 24 26 27 25 "
+    "23 39 38 40 37 6 4 3 2 5",
+    "1 3 2 40 31 39 32 37 36 38 35 33 34 30 4 9 8 6 7 28 10 19 23 22 24 21 20 26 25 14 13 15 "
+    "12 17 16 18 11 27 5 29",
+    "40 32 33 34 29 28 26 7 14 15 10 11 12 9 13 8 4 2 3 6 5 19 17 18 16 20 1 22 24 23 21 25 "
+    "27 31 30 37 36 35 38 39",
 ]
 
 
@@ -167,11 +167,10 @@ def test_pinned_draws():
 
 
 # SHA-256 of the first three draws for seed 7 at the benchmark's sizes,
-# recorded while every node of a draw still looked its tables up by
-# restriction
+# recorded when a draw became the unranking of one uniform integer
 PINNED_DRAW_DIGESTS = {
-    ("five-root", 200): "eff1b51a71e8809ca1785916e16173630494739c221b0500d6aa7030be0695fc",
-    ("five-pattern", 1000): "c1977179f9e4bff790f018291d0ff29ed0c1dcfb420a3158b27a980b884985b5",
+    ("five-root", 200): "0e11fbf0806c5611a82904e8b2628c85c8d5474a9c7990eaa41ab64ddaa4a46d",
+    ("five-pattern", 1000): "5c7c0e9f9d3432d05f615e82a0e7d6db1ba8a3fd4e9be40bc7402d51bee76bdd",
 }
 
 
@@ -183,6 +182,92 @@ def test_pinned_draws_at_benchmark_sizes(five_root_spec, big_spec):
         text = json.dumps([str(p) for p in draws])
         got[name, n] = hashlib.sha256(text.encode()).hexdigest()
     assert got == PINNED_DRAW_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def ranked_classes(av132_spec, av132_basis, big_spec, big_basis, five_root_spec):
+    """(tables to 8, the class's basis for the oracle) per gate class."""
+    separable = ps.substitution_closed_spec(ps.simple_set([]))
+    five_root_basis = [P(x) for x in ("1243", "2341", "2413", "531642")]
+    return {
+        name: (ps.build_tables(spec, 8), patterns)
+        for name, spec, patterns in (
+            ("Av(132)", av132_spec, av132_basis.patterns),
+            ("five-pattern", big_spec, big_basis.patterns),
+            ("five-root", five_root_spec, five_root_basis),
+            ("separable", separable, [P("2413"), P("3142")]),
+        )
+    }
+
+
+def test_unrank_enumerates_the_class(ranked_classes):
+    for name, (tables, patterns) in ranked_classes.items():
+        members = ps.class_members(patterns, 8)
+        for n in range(1, 9):
+            count = tables.counts[tables.system.root][n]
+            got = {ps.unrank(tables, n, i) for i in range(count)}
+            assert len(got) == count and got == set(members[n]), (name, n)
+
+
+def test_rank_inverts_unrank(ranked_classes):
+    for name, (tables, _) in ranked_classes.items():
+        for n in range(1, 9):
+            for i in range(tables.counts[tables.system.root][n]):
+                assert ps.rank(tables, ps.unrank(tables, n, i)) == i, (name, n, i)
+
+
+def test_unrank_refusals(av132_tables):
+    count = av132_tables.counts[av132_tables.system.root][5]
+    for bad in (-1, count, count + 7):
+        with pytest.raises(InvalidInputError, match="rank"):
+            ps.unrank(av132_tables, 5, bad)
+    for n in (0, 9):
+        with pytest.raises(InvalidInputError, match="outside table range"):
+            ps.unrank(av132_tables, n, 0)
+    spec = ps.specification(ps.basis_of([P("12"), P("21")]), ps.simple_set([]))
+    with pytest.raises(SampleError):
+        ps.unrank(ps.build_tables(spec, 4), 2, 0)
+
+
+def test_rank_refuses_a_non_member(av132_tables):
+    with pytest.raises(SampleError):
+        ps.rank(av132_tables, P("132"))
+    with pytest.raises(SampleError):
+        ps.rank(av132_tables, P("21453"))
+
+
+def test_rank_of_large_draws(big_spec):
+    tables = ps.build_tables(big_spec, 1000)
+    sigma = ps.sample(tables, 1000, random.Random(1000))
+    assert ps.unrank(tables, 1000, ps.rank(tables, sigma)) == sigma
+
+
+def test_rank_of_a_deep_tree(av132_spec):
+    # 12...1200 is a chain of 1199 plus nodes, deeper than the default
+    # recursion limit; it is the last of all plus-chains in the rank order
+    tables = ps.build_tables(av132_spec, 1200)
+    sigma = ps.Permutation(tuple(range(1, 1201)))
+    r = ps.rank(tables, sigma)
+    assert 0 <= r < tables.counts[av132_spec.root][1200]
+    assert ps.unrank(tables, 1200, r) == sigma
+
+
+class CountingSource:
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.bounds = []
+
+    def randrange(self, bound):
+        self.bounds.append(bound)
+        return self.rng.randrange(bound)
+
+
+def test_one_source_call_per_draw(five_root_spec):
+    tables = ps.build_tables(five_root_spec, 200)
+    source = CountingSource(9)
+    draws = ps.sample_many(tables, 200, 25, source)
+    assert len(draws) == 25
+    assert source.bounds == [tables.counts[five_root_spec.root][200]] * 25
 
 
 def test_draws_look_up_no_restriction(big_tables, monkeypatch):
