@@ -121,9 +121,13 @@ def system_from_obj(obj) -> EquationSystem:
                     raise InvalidInputError(f"child {key!r} is not defined by any equation")
                 children.append(by_key[key])
             terms.append(RestrictionTerm(root, tuple(children)))
-        eq = Equation(
-            lhs, _field(eobj, "has_one", bool), tuple(terms), _field(eobj, "disjoint", bool)
-        )
+        has_one = _field(eobj, "has_one", bool)
+        # 1 is a member exactly when nothing is mandatory and 1 avoids every
+        # avoided pattern
+        if has_one != (not lhs.contain and all(len(e) > 1 for e in lhs.avoid)):
+            verb = "is not" if has_one else "is"
+            raise InvalidInputError(f"equation [{lhs}] has the wrong has_one: 1 {verb} a member")
+        eq = Equation(lhs, has_one, tuple(terms), _field(eobj, "disjoint", bool))
         if eq.disjoint:
             _certify_disjoint(eq)
         system.equations[lhs] = eq

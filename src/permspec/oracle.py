@@ -29,9 +29,8 @@ from .perms import (
     _occurrence_search,
     contains,
     decompose,
+    decomposition_tree,
     in_closure,
-    is_minus_decomposable,
-    is_plus_decomposable,
     is_simple,
     sort_key,
 )
@@ -139,9 +138,8 @@ def member_of_restriction(
         return False
     if not in_closure(sigma, simples):
         return False
-    if r.delta == "+" and is_plus_decomposable(sigma):
-        return False
-    if r.delta == "-" and is_minus_decomposable(sigma):
+    root = decomposition_tree(sigma)[0][1]
+    if (r.delta == "+" and root == PLUS) or (r.delta == "-" and root == MINUS):
         return False
     return not any(contains(sigma, e) for e in r.avoid) and all(
         contains(sigma, a) for a in r.contain

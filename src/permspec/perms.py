@@ -1,10 +1,13 @@
 """Permutations in one-line notation: patterns, intervals, substitution,
-and the canonical block decomposition.
+and the substitution decomposition tree.
 
 A permutation of size n is stored as the tuple of its values, a bijection of
 1..n.  All indices exposed by this module are 1-based.  The empty permutation
 is a legal value (it shows up in generalized substitutions) but is rejected
 by the decomposition routines.
+
+`decomposition_tree` is the one decomposition walker; `decompose` is its
+first level with normalized children, and `in_closure` checks its roots.
 
 All functions here are pure; values are immutable and hashable.
 """
@@ -178,15 +181,11 @@ def all_intervals(p: Permutation) -> set[Interval]:
     return out
 
 
-def proper_intervals(p: Permutation) -> set[Interval]:
-    """Intervals other than the singletons and the full range."""
-    n = len(p)
-    return {(i, j) for (i, j) in all_intervals(p) if i < j and (i, j) != (1, n)}
-
-
 def is_simple(p: Permutation) -> bool:
-    """Size >= 4 with only trivial intervals (1, 12, 21 do not count as simple)."""
-    return len(p) >= 4 and not proper_intervals(p)
+    """Size >= 4 with only trivial intervals, the singletons and the full
+    range (1, 12, 21 do not count as simple)."""
+    n = len(p)
+    return n >= 4 and all(j - i in (0, n - 1) for i, j in all_intervals(p))
 
 
 def normalized_blocks(p: Permutation) -> set[Permutation]:
@@ -206,53 +205,67 @@ def generalized_substitute(root: Permutation, blocks: Sequence[Permutation]) -> 
     n = len(root)
     if len(blocks) != n:
         raise InvalidInputError(f"expected {n} blocks, got {len(blocks)}")
-    offsets = inflation_offsets(root, [len(b) for b in blocks])
+    # a block's value offset is the total size of the blocks at smaller root
+    # values
+    offsets = [0] * n
+    acc = 0
+    for i in sorted(range(n), key=root.values.__getitem__):
+        offsets[i] = acc
+        acc += len(blocks[i])
     out: list[int] = []
     for i in range(n):
         out.extend(v + offsets[i] for v in blocks[i].values)
     return Permutation(tuple(out))
 
 
-def inflation_offsets(root: Permutation, sizes: Sequence[int]) -> list[int]:
-    """Value offset of each block of an inflation of root by blocks of the
-    given sizes: the total size of the blocks at smaller root values."""
-    offsets = [0] * len(sizes)
-    acc = 0
-    for i in sorted(range(len(sizes)), key=root.values.__getitem__):
-        offsets[i] = acc
-        acc += sizes[i]
-    return offsets
+def _split(values: tuple[int, ...], pos: int, size: int, offset: int) -> tuple[Permutation, tuple]:
+    """The canonical one-level decomposition of a block of a permutation.
 
-
-def is_plus_decomposable(p: Permutation) -> bool:
-    return _linear_split(p, plus=True) is not None
-
-
-def is_minus_decomposable(p: Permutation) -> bool:
-    return _linear_split(p, plus=False) is not None
-
-
-def _linear_split(p: Permutation, plus: bool) -> int | None:
-    """Smallest proper prefix length j whose values are the j lowest (plus)
-    or the j highest (minus); None when no such prefix exists."""
-    n = len(p)
-    if plus:
-        hi = 0
-        for j in range(1, n):
-            hi = max(hi, p.values[j - 1])
-            if hi == j:
-                return j
-    else:
-        lo = n + 1
-        for j in range(1, n):
-            lo = min(lo, p.values[j - 1])
-            if lo == n - j + 1:
-                return j
-    return None
+    The block is a window of the permutation's values: its entries are
+    values[pos : pos + size] and they are offset + 1 .. offset + size.
+    Returns the root and the children's windows (pos, size, offset).  The root is 12 (21) when some proper prefix holds the block's
+    lowest (highest) values; the shortest such prefix is the first child,
+    which is then plus- (minus-) indecomposable.  Otherwise the quotient is
+    simple, so every proper interval lies inside one part, and the part
+    starting at a position is the longest proper interval from there.
+    """
+    lo, hi = offset + size + 1, offset
+    for j in range(1, size):
+        x = values[pos + j - 1]
+        if x > hi:
+            hi = x
+        if x < lo:
+            lo = x
+        if hi == offset + j:
+            return PLUS, ((pos, j, offset), (pos + j, size - j, offset + j))
+        if lo == offset + size - j + 1:
+            return MINUS, ((pos, j, offset + size - j), (pos + j, size - j, offset))
+    parts = []
+    i, end = pos, pos + size
+    while i < end:
+        # one sweep from i; the first part may not be the whole block
+        lo = hi = values[i]
+        stop, low = i + 1, lo
+        for j in range(i + 1, end if i > pos else end - 1):
+            x = values[j]
+            if x < lo:
+                lo = x
+            elif x > hi:
+                hi = x
+            if hi - lo == j - i:
+                stop, low = j + 1, lo
+        parts.append((i, stop - i, low - 1))
+        i = stop
+    skeleton = normalize([low for _, _, low in parts])
+    if not is_simple(skeleton):  # impossible for a valid input permutation
+        block = normalize(values[pos:end])
+        raise DecompositionError(f"quotient of {block} by maximal intervals is not simple")
+    return skeleton, tuple(parts)
 
 
 def decompose(p: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
-    """The canonical one-level block decomposition (root, children).
+    """The canonical one-level block decomposition (root, children): the
+    first level of `decomposition_tree`.
 
     The root is 12 with a plus-indecomposable first child, or 21 with a
     minus-indecomposable first child, or a simple permutation; exactly one of
@@ -261,56 +274,42 @@ def decompose(p: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
     n = len(p)
     if n < 2:
         raise DecompositionError(f"cannot decompose a permutation of size {n}")
-    j = _linear_split(p, plus=True)
-    if j is not None:
-        return PLUS, (pattern_at(p, (1, j)), pattern_at(p, (j + 1, n)))
-    j = _linear_split(p, plus=False)
-    if j is not None:
-        return MINUS, (pattern_at(p, (1, j)), pattern_at(p, (j + 1, n)))
-    parts = _maximal_interval_partition(p)
-    skeleton = normalize([p.values[i - 1] for (i, _) in parts])
-    if not is_simple(skeleton):  # impossible for a valid input permutation
-        raise DecompositionError(f"quotient of {p} by maximal intervals is not simple")
-    return skeleton, tuple(pattern_at(p, iv) for iv in parts)
+    root, windows = _split(p.values, 0, n, 0)
+    return root, tuple(
+        Permutation(tuple(x - offset for x in p.values[pos : pos + size]))
+        for pos, size, offset in windows
+    )
 
 
-def _maximal_interval_partition(p: Permutation) -> list[Interval]:
-    """Partition of 1..n into maximal proper intervals plus singletons.
+def decomposition_tree(p: Permutation) -> list[tuple[int, Permutation | None, int]]:
+    """p's substitution decomposition tree, breadth first, as (size, root,
+    index of the first child) per node; the root is None at the leaves (size
+    1), and a node's children are the len(root) nodes from that index on.
 
-    Only valid when p has no linear split at the root: the quotient is then
-    simple, so every interval other than (1, n) lies inside one part, and the
-    part starting at position i is the longest such interval from i.
+    Every node is a window of p's own values, so no block is copied and the
+    walk is iterative: a plus chain 12...n costs O(n).
     """
     n = len(p)
-    parts: list[Interval] = []
-    i = 1
-    while i <= n:
-        j = max(j for (_, j) in intervals_from(p, i) if (i, j) != (1, n))
-        parts.append((i, j))
-        i = j + 1
-    return parts
+    if n == 0:
+        raise DecompositionError("the empty permutation has no decomposition tree")
+    windows = [(0, n, 0)]
+    tree = []
+    for pos, size, offset in windows:  # appending while iterating is safe
+        if size == 1:
+            tree.append((1, None, len(windows)))
+        else:
+            root, kids = _split(p.values, pos, size, offset)
+            tree.append((size, root, len(windows)))
+            windows.extend(kids)
+    return tree
 
 
 def in_closure(p: Permutation, simples: Iterable[Permutation]) -> bool:
     """Whether every prime node of p's decomposition tree carries a
-    permutation from the given set of simple permutations.
-
-    The tree is walked with an explicit stack, so its depth (up to the size
-    of p) is not bounded by the interpreter's recursion limit.
-    """
+    permutation from the given set of simple permutations."""
     allowed = set(simples)
     for s in allowed:
         if not is_simple(s):
             raise InvalidInputError(f"{s} is not simple")
-    if len(p) == 0:
-        raise DecompositionError("the empty permutation is not a class member")
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if len(q) == 1:
-            continue
-        root, children = decompose(q)
-        if root not in (PLUS, MINUS) and root not in allowed:
-            return False
-        stack.extend(children)
-    return True
+    tree = decomposition_tree(p)
+    return all(root in allowed for _, root, _ in tree if root not in (None, PLUS, MINUS))

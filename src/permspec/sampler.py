@@ -36,7 +36,7 @@ from typing import Protocol
 
 from .counting import PlanEquation, _solve
 from .errors import InvalidInputError, SampleError
-from .perms import Permutation, decompose
+from .perms import Permutation, decomposition_tree
 from .restrictions import Restriction
 from .system import EquationSystem
 
@@ -215,10 +215,9 @@ def _parse(tables: SamplingTables, sigma: Permutation) -> tuple[list, list[list[
     """sigma's decomposition tree against the plan, and per node its number
     of derivations from every equation.
 
-    The tree is breadth first, so children follow their parent; per node it
-    holds the size, the plan's terms (equation number, term number, child
-    numbers) whose root is the node's root, and the index of its first
-    child.  One bottom-up walk counts, per node and equation, the atom at
+    The tree is `decomposition_tree(sigma)` with each root replaced by the
+    plan's terms (equation number, term number, child numbers) that have
+    that root.  One bottom-up walk counts, per node and equation, the atom at
     size 1 plus, for each such term, the product of its children's counts.
     """
     _check_size(tables, len(sigma))
@@ -230,13 +229,7 @@ def _parse(tables: SamplingTables, sigma: Permutation) -> tuple[list, list[list[
             for value, c in enumerate(order, 1):
                 root[c] = value
             by_root.setdefault(Permutation(tuple(root)), []).append((i, t, kids))
-    nodes: list[Permutation | None] = [sigma]
-    tree = []
-    for v, p in enumerate(nodes):
-        nodes[v] = None  # appending while iterating is safe; the block is done
-        root, kids = decompose(p) if len(p) > 1 else (None, ())
-        tree.append((len(p), by_root.get(root, ()), len(nodes)))
-        nodes.extend(kids)
+    tree = [(size, by_root.get(root, ()), base) for size, root, base in decomposition_tree(sigma)]
     atom = [int(has_one) for _, has_one, _ in plan]
     derivations = [atom] * len(tree)
     for v in range(len(tree) - 1, -1, -1):

@@ -13,7 +13,7 @@ import random
 import permspec as ps
 from permspec.disambiguate import _disambiguate_group
 from permspec.oracle import _Denotations, closure_members
-from permspec.perms import is_minus_decomposable, is_plus_decomposable, perm
+from permspec.perms import perm
 from permspec.restrictions import Restriction, RestrictionTerm, restriction
 
 
@@ -27,6 +27,18 @@ def term_hit(den: _Denotations, t: RestrictionTerm, p) -> bool:
 
 def all_perms(n):
     return [ps.Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+def plus_decomposable(p) -> bool:
+    """Whether some proper prefix of p holds its lowest values: a prefix
+    scan of its own, sharing no code with the decomposition it referees."""
+    return any(max(p.values[:j]) == j for j in range(1, len(p)))
+
+
+def minus_decomposable(p) -> bool:
+    """Whether some proper prefix of p holds its highest values."""
+    n = len(p)
+    return any(min(p.values[:j]) == n - j + 1 for j in range(1, n))
 
 
 # ---------------------------------------------------------------- perm-core
@@ -45,16 +57,14 @@ def check_pattern_order_antisymmetry(nmax=6):
 def check_decomposition_roundtrip(nmax=8):
     """Rebuilding the one-level decomposition gives the permutation back and
     the side conditions of the three shapes hold."""
-    from permspec.perms import is_minus_decomposable, is_plus_decomposable
-
     for n in range(2, nmax + 1):
         for p in all_perms(n):
             root, children = ps.decompose(p)
             assert ps.substitute(root, children) == p
             if root == ps.PLUS:
-                assert not is_plus_decomposable(children[0])
+                assert not plus_decomposable(children[0])
             elif root == ps.MINUS:
-                assert not is_minus_decomposable(children[0])
+                assert not minus_decomposable(children[0])
             else:
                 assert ps.is_simple(root)
                 assert len(children) == len(root)
@@ -63,7 +73,7 @@ def check_decomposition_roundtrip(nmax=8):
 def check_decomposition_uniqueness(nmax=8):
     """Exactly one of the three decomposition shapes matches, counting every
     candidate writing by exhaustive search."""
-    from permspec.perms import is_minus_decomposable, is_plus_decomposable, pattern_at
+    from permspec.perms import pattern_at
 
     for n in range(2, nmax + 1):
         for p in all_perms(n):
@@ -72,12 +82,12 @@ def check_decomposition_uniqueness(nmax=8):
             hi = 0
             for j in range(1, n):
                 hi = max(hi, p.values[j - 1])
-                if hi == j and not is_plus_decomposable(pattern_at(p, (1, j))):
+                if hi == j and not plus_decomposable(pattern_at(p, (1, j))):
                     shapes += 1
             lo = n + 1
             for j in range(1, n):
                 lo = min(lo, p.values[j - 1])
-                if lo == n - j + 1 and not is_minus_decomposable(pattern_at(p, (1, j))):
+                if lo == n - j + 1 and not minus_decomposable(pattern_at(p, (1, j))):
                     shapes += 1
             for parts in block_decompositions(p):
                 skeleton = ps.normalize([p.values[i - 1] for (i, _) in parts])
@@ -245,9 +255,9 @@ def check_complement_restriction_cover(nmax=7, simples=("3142",)):
         parts = (r,) + ps.complement_restriction(r)
         for n in range(1, nmax + 1):
             for p in den.closure[n]:
-                if r.delta == "+" and is_plus_decomposable(p):
+                if r.delta == "+" and plus_decomposable(p):
                     continue
-                if r.delta == "-" and is_minus_decomposable(p):
+                if r.delta == "-" and minus_decomposable(p):
                     continue
                 hits = sum(p in den.members(part, n) for part in parts)
                 assert hits == 1, (r, p, hits)

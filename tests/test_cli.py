@@ -343,6 +343,38 @@ def test_uncertified_disjoint_flag_is_domain_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "lhs,forged",
+    [
+        # marked with the atom, this equation, which must contain 21, made
+        # the class count 1, 3, 8, 26, 87, ... instead of 1, 2, 6, 21, 73, ...
+        ("C<132,2341>(21)", True),
+        # the class itself without the atom counted 0, 1, 4, 16, 60, ...
+        ("C<1243,2341>", False),
+    ],
+    ids=["true-without-atom", "false-with-atom"],
+)
+def test_forged_has_one_is_domain_error(tmp_path, big_spec, capsys, lhs, forged):
+    obj = jsonio.system_to_obj(big_spec)
+    (eobj,) = [e for r, e in zip(big_spec.equations, obj["equations"]) if str(r) == lhs]
+    assert eobj["has_one"] is not forged
+    eobj["has_one"] = forged
+    spec_path = tmp_path / "forged.json"
+    spec_path.write_text(json.dumps(obj))
+    basis = tmp_path / "basis.txt"
+    basis.write_text(BIG_BASIS)
+    spec = ["--spec", str(spec_path)]
+    for argv in (
+        ["count", *spec, "-N", "5"],
+        ["sample", *spec, "--size", "5"],
+        ["heatmap", *spec, "--size", "5", "--samples", "1", "--out", str(tmp_path / "h.csv")],
+        ["oracle", "audit", *spec, "--basis", str(basis), "--nmax", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert f"[{lhs}]" in one_line(err) and "has_one" in err, argv
+
+
+@pytest.mark.parametrize(
     "argv", [("enumerate", "-n", "-1"), ("simples", "--maxlen", "-1")], ids=lambda a: a[0]
 )
 def test_negative_oracle_size_is_domain_error(big_files, capsys, argv):

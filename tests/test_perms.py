@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -7,18 +8,16 @@ from hypothesis import strategies as st
 
 import permspec as ps
 from permspec.errors import DecompositionError, InvalidInputError, InvalidPermutationError
-from permspec.perms import (
-    is_minus_decomposable,
-    is_plus_decomposable,
-    normalized_blocks,
-    pattern_at,
-)
+from permspec.perms import decomposition_tree, normalized_blocks, pattern_at
 from props import (
+    all_perms,
     check_closure_downward_closed,
     check_decomposition_roundtrip,
     check_decomposition_uniqueness,
     check_interval_soundness,
     check_pattern_order_antisymmetry,
+    minus_decomposable,
+    plus_decomposable,
 )
 
 P = ps.perm
@@ -175,10 +174,71 @@ def test_in_closure_deep_tree():
 
 
 def test_indecomposability_predicates():
-    assert is_plus_decomposable(P("12"))
-    assert not is_plus_decomposable(P("21"))
-    assert is_minus_decomposable(P("21"))
-    assert not is_minus_decomposable(P("1"))
+    # the props referee, and the tree's root that agrees with it
+    assert plus_decomposable(P("12")) and ps.decompose(P("12"))[0] == ps.PLUS
+    assert not plus_decomposable(P("21"))
+    assert minus_decomposable(P("21")) and ps.decompose(P("21"))[0] == ps.MINUS
+    assert not minus_decomposable(P("1"))
+
+
+def reference_tree(p):
+    """(size, root, subtrees) of p by recursion over `decompose` of the
+    normalized blocks."""
+    if len(p) == 1:
+        return (1, None, ())
+    root, children = ps.decompose(p)
+    return (len(p), root, tuple(reference_tree(c) for c in children))
+
+
+def nested(tree, v=0):
+    """The flat breadth-first tree as (size, root, subtrees) from node v."""
+    size, root, base = tree[v]
+    kids = range(base, base + len(root)) if root is not None else ()
+    return (size, root, tuple(nested(tree, k) for k in kids))
+
+
+def random_perm(rng, n):
+    return ps.Permutation(tuple(rng.sample(range(1, n + 1), n)))
+
+
+def random_deep_perm(rng, n):
+    """A size-n permutation grown by inflating one entry at a time with a
+    small random permutation, so its tree is deep and mixes all shapes."""
+    p = ps.ONE
+    while len(p) < n:
+        blocks = [ps.ONE] * len(p)
+        blocks[rng.randrange(len(p))] = random_perm(rng, rng.randint(2, min(6, n - len(p) + 1)))
+        p = ps.substitute(p, blocks)
+    return p
+
+
+def test_decomposition_tree_matches_recursive_decompose():
+    # every node is decompose of the normalized block it covers; the walk
+    # keeps windows of p's own values, so this checks their bookkeeping
+    rng = random.Random(12)
+    randoms = [f(rng, n) for n in range(9, 61) for f in (random_perm, random_deep_perm) * 3]
+    for p in [q for n in range(1, 9) for q in all_perms(n)] + randoms:
+        tree = decomposition_tree(p)
+        assert nested(tree) == reference_tree(p), p
+        assert len(tree) == 1 + sum(len(root) for _, root, _ in tree if root is not None)
+
+
+def test_decomposition_tree_of_a_deep_chain():
+    # 12...20000 is a chain of 19,999 plus nodes and 20,000 leaves; a walk
+    # that copies every block costs O(n^2) here
+    p = ps.Permutation(tuple(range(1, 20001)))
+    start = time.perf_counter()
+    tree = decomposition_tree(p)
+    elapsed = time.perf_counter() - start
+    assert len(tree) == 39_999
+    assert elapsed < 1.0, f"decomposition tree of 12...20000 took {elapsed:.2f} s"
+    assert ps.in_closure(p, [])
+
+
+def test_decomposition_tree_rejects_empty():
+    assert decomposition_tree(ps.ONE) == [(1, None, 1)]
+    with pytest.raises(DecompositionError):
+        decomposition_tree(ps.EMPTY)
 
 
 def test_normalized_blocks():
