@@ -133,7 +133,11 @@ def closure_members(simples: Iterable[Permutation], nmax: int) -> dict[int, list
 def member_of_restriction(
     sigma: Permutation, r: Restriction, simples: Iterable[Permutation]
 ) -> bool:
-    """Direct evaluation of the restriction's defining conditions."""
+    """Direct evaluation of the restriction's defining conditions.
+
+    Patterns are searched without the `contains` memo, which would keep
+    every host alive: callers pass sampler draws of any size.
+    """
     if len(sigma) == 0:
         return False
     if not in_closure(sigma, simples):
@@ -141,9 +145,11 @@ def member_of_restriction(
     root = decomposition_tree(sigma)[0][1]
     if (r.delta == "+" and root == PLUS) or (r.delta == "-" and root == MINUS):
         return False
-    return not any(contains(sigma, e) for e in r.avoid) and all(
-        contains(sigma, a) for a in r.contain
-    )
+
+    def has(patt: Permutation) -> bool:
+        return any(True for _ in _occurrence_search(sigma.values, patt.values, False))
+
+    return not any(has(e) for e in r.avoid) and all(has(a) for a in r.contain)
 
 
 @dataclass
@@ -236,19 +242,25 @@ def audit_specification(
                 )
             expected = den.members(lhs, n)
             if union != expected:
-                missing = sorted(expected - union, key=sort_key)[:3]
-                extra = sorted(union - expected, key=sort_key)[:3]
                 report.violations.append(
-                    f"size {n}: rhs of [{eq.lhs}] mismatch; missing {missing}, extra {extra}"
+                    f"size {n}: rhs of [{eq.lhs}] mismatch; {_difference(expected, union)}"
                 )
     for n in range(1, nmax + 1):
         got = den.members(system.root, n)
         want = set(truth[n])
         if got != want:
             report.violations.append(
-                f"size {n}: class restriction [{system.root}] disagrees with Av(basis)"
+                f"size {n}: class restriction [{system.root}] disagrees with Av(basis); "
+                + _difference(want, got)
             )
     return report
+
+
+def _difference(want, got) -> str:
+    """Up to three members of each side that the other lacks."""
+    missing = sorted(want - got, key=sort_key)[:3]
+    extra = sorted(got - want, key=sort_key)[:3]
+    return f"missing {missing}, extra {extra}"
 
 
 def _term_members(t, n: int, den: _Denotations) -> frozenset[Permutation]:

@@ -8,6 +8,10 @@ by the decomposition routines.
 
 `decomposition_tree` is the one decomposition walker; `decompose` is its
 first level with normalized children, and `in_closure` checks its roots.
+Pattern search extends a partial occurrence by one constant-time check per
+candidate: the new value must lie between the host values at the two earlier
+slots whose pattern values are nearest below and above (Albert, Aldred,
+Atkinson & Holton, *Algorithms for pattern involvement in permutations*, 2001).
 
 All functions here are pure; values are immutable and hashable.
 """
@@ -126,32 +130,70 @@ def avoids(host: Permutation, patt: Permutation) -> bool:
 def _occurrence_search(
     hv: tuple[int, ...], pv: tuple[int, ...], find_all: bool
 ) -> Iterator[tuple[int, ...]]:
-    """Backtracking occurrence search, pruning by remaining length and by
-    order-consistency of each extension against the already chosen prefix."""
+    """Occurrences of the pattern pv in the permutation hv as increasing
+    0-based position tuples, in lexicographic order (only the first unless
+    find_all).
+
+    One backtracking loop over the pattern's slots.  A prefix of an
+    occurrence is order-isomorphic to the pattern's prefix, so a position
+    extends it exactly when its value lies strictly between the host values
+    at the two slots `_slot_bounds` names; slots that cannot be completed
+    before the host ends are never tried.
+    """
     n, k = len(hv), len(pv)
     if k == 0:
         yield ()
         return
     if k > n:
         return
-    chosen: list[int] = []
-
-    def extend(slot: int, start: int) -> Iterator[tuple[int, ...]]:
-        if slot == k:
-            yield tuple(chosen)
-            return
-        pslot = pv[slot]
-        for pos in range(start, n - (k - slot) + 1):
+    below, above = _slot_bounds(pv)
+    # vals[t] is the host value at slot t; vals[k] and vals[k + 1] bound
+    # every value of a permutation of 1..n from below and above
+    vals = [0] * k + [0, n + 1]
+    chosen = [0] * k
+    last = k - 1
+    t = start = 0
+    while True:
+        lo, hi = vals[below[t]], vals[above[t]]
+        for pos in range(start, n - last + t):
             v = hv[pos]
-            if all((v > hv[c]) == (pslot > pv[t]) for t, c in enumerate(chosen)):
-                chosen.append(pos)
-                yield from extend(slot + 1, pos + 1)
-                chosen.pop()
+            if lo < v < hi:
+                chosen[t] = pos
+                if t < last:
+                    break
+                yield tuple(chosen)
+                if not find_all:
+                    return
+        else:
+            # slot t is exhausted: move the slot before it on
+            if t == 0:
+                return
+            t -= 1
+            start = chosen[t] + 1
+            continue
+        vals[t] = v
+        t += 1
+        start = pos + 1
 
-    for occ in extend(0, 0):
-        yield occ
-        if not find_all:
-            return
+
+@lru_cache(maxsize=1 << 12)
+def _slot_bounds(pv: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per slot t of the pattern, the earlier slot holding the largest value
+    below pv[t] and the earlier slot holding the smallest value above it;
+    len(pv) and len(pv) + 1 stand for "none" (see `_occurrence_search`)."""
+    k = len(pv)
+    below, above = [], []
+    for t, x in enumerate(pv):
+        lo, hi = k, k + 1
+        for s in range(t):
+            y = pv[s]
+            if x > y and (lo == k or y > pv[lo]):
+                lo = s
+            elif x < y and (hi == k + 1 or y < pv[hi]):
+                hi = s
+        below.append(lo)
+        above.append(hi)
+    return tuple(below), tuple(above)
 
 
 def intervals_from(p: Permutation, i: int) -> set[Interval]:

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import random
+import time
 
 import pytest
 
@@ -122,6 +124,27 @@ def test_member_of_restriction_fixtures():
     assert member_of_restriction(P("3142"), R(), [P("3142")])
 
 
+@pytest.fixture(scope="module")
+def five_pattern_draws(big_spec):
+    return ps.sample_many(ps.build_tables(big_spec, 60), 60, 20, random.Random(60))
+
+
+def test_member_of_restriction_leaves_contains_memo_empty(big_spec, five_pattern_draws):
+    ps.contains.cache_clear()
+    for d in five_pattern_draws:
+        assert member_of_restriction(d, big_spec.root, big_spec.simples)
+    assert ps.contains.cache_info().currsize == 0
+
+
+def test_large_draws_are_checked_against_the_basis(big_spec, big_basis, five_pattern_draws):
+    start = time.perf_counter()
+    for d in five_pattern_draws:
+        assert member_of_restriction(d, big_spec.root, big_spec.simples)
+        assert all(ps.avoids(d, b) for b in big_basis.patterns)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"checking 20 draws of size 60 took {elapsed:.2f} s"
+
+
 def test_audit_clean_on_av132(av132_spec, av132_basis):
     report = audit_specification(av132_spec, av132_basis.patterns, 7)
     assert report.passed, str(report)
@@ -148,6 +171,15 @@ def test_audit_flags_incompleteness():
     report = audit_specification(system, basis.patterns, 3)
     assert not report.passed
     assert any("mismatch" in v for v in report.violations)
+
+
+def test_audit_names_a_witness_when_the_class_disagrees(no_simples):
+    # the separable closure's size-3 level holds 123, which Av(123) lacks
+    spec = ps.specification(ps.basis_of([P("2413"), P("3142")]), no_simples)
+    report = audit_specification(spec, [P("123")], 3)
+    [line] = report.violations
+    assert line.startswith("size 3: class restriction")
+    assert f"extra [{P('123')!r}]" in line
 
 
 def test_audit_union_semantics_for_ambiguous_systems(big_basis, big_simples):

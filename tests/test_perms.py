@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import permspec as ps
 from permspec.errors import DecompositionError, InvalidInputError, InvalidPermutationError
-from permspec.perms import decomposition_tree, normalized_blocks, pattern_at
+from permspec.perms import _occurrence_search, decomposition_tree, normalized_blocks, pattern_at
 from props import (
     all_perms,
     check_closure_downward_closed,
@@ -69,6 +69,43 @@ def test_occurrences_reflexive(p):
 def test_occurrence_witnesses_are_patterns(host, patt):
     for occ in ps.occurrences(host, patt):
         assert ps.normalize([host.values[i - 1] for i in occ]) == patt
+
+
+def occurrences_by_brute_force(host, patt):
+    """Every increasing 0-based position tuple whose host values are ordered
+    as patt's, in lexicographic order: all k-subsets filtered by the order
+    of their values."""
+    k = len(patt)
+    shape = sorted(range(k), key=patt.__getitem__)
+    return [
+        c
+        for c in itertools.combinations(range(len(host)), k)
+        if sorted(range(k), key=lambda i: host[c[i]]) == shape
+    ]
+
+
+def test_occurrence_search_matches_brute_force():
+    # every host of size <= 6 with every pattern of size <= 4 (the empty
+    # pattern and patterns longer than the host included), then random
+    # hosts of size 8-30 with patterns of size 3-6
+    rng = random.Random(2001)
+    pairs = [
+        (host, patt)
+        for n in range(7)
+        for host in itertools.permutations(range(1, n + 1))
+        for k in range(5)
+        for patt in itertools.permutations(range(1, k + 1))
+    ]
+    for _ in range(24):
+        n, k = rng.randint(8, 30), rng.randint(3, 6)
+        host, patt = rng.sample(range(1, n + 1), n), rng.sample(range(1, k + 1), k)
+        pairs.append((tuple(host), tuple(patt)))
+    for host, patt in pairs:
+        want = occurrences_by_brute_force(host, patt)
+        assert list(_occurrence_search(host, patt, True)) == want, (host, patt)
+        assert list(_occurrence_search(host, patt, False)) == want[:1], (host, patt)
+    assert list(_occurrence_search((2, 1, 3), (), True)) == [()]
+    assert list(_occurrence_search((2, 1), (1, 2, 3), True)) == []
 
 
 def test_intervals_from_fixtures():
