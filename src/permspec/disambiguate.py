@@ -6,7 +6,11 @@ terms.  The resulting terms may overlap, but only when they share a root,
 and each such group is rewritten as the disjoint union, over every non-empty
 subset of the group, of the intersection of the chosen terms with the
 complements of the others.  Complements introduce mandatory patterns, which
-propagate through inflations just like forbidden ones, by embeddings.
+propagate through inflations just like forbidden ones, by embeddings.  Each
+distinct group is expanded once and its parts are memoized, since the `""`,
+`"+"` and `"-"` equations of one restriction share their 12- and 21-rooted
+groups.  A meet of two terms is tested for emptiness child pair by child pair
+before it is built, because nearly all the meets of an expansion are empty.
 
 One worklist driver builds both systems: it adds an equation for every
 restriction that appears on a right-hand side until the system is closed,
@@ -17,6 +21,7 @@ equations as built; the specification disambiguates each one.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Callable
 
 from .embeddings import all_embeddings
@@ -31,6 +36,7 @@ from .restrictions import (
     restriction,
     root_rank,
     term_provably_empty,
+    terms_meet_provably_empty,
 )
 from .system import (
     Basis,
@@ -105,8 +111,13 @@ def disambiguate(eq: Equation) -> Equation:
         if len(group) == 1:
             out.extend(group)
         else:
-            out.extend(_disambiguate_group(group))
+            out.extend(_group_parts(tuple(group)))
     return Equation(eq.lhs, eq.has_one, tuple(out), disjoint=True)
+
+
+@lru_cache(maxsize=1 << 10)
+def _group_parts(group: tuple[RestrictionTerm, ...]) -> tuple[RestrictionTerm, ...]:
+    return tuple(_disambiguate_group(list(group)))
 
 
 def _disambiguate_group(group: list[RestrictionTerm]) -> list[RestrictionTerm]:
@@ -131,23 +142,26 @@ def _slice_terms(
 ) -> list[RestrictionTerm]:
     """Terms of the disjoint slice: members of `chosen` intersected with the
     complements of the rest of the group."""
-    base: RestrictionTerm | None = None
-    for i in sorted(chosen):
-        base = group[i] if base is None else intersect_terms(base, group[i])
-        if term_provably_empty(base):
+    first, *rest = sorted(chosen)
+    base = group[first]
+    if term_provably_empty(base):
+        return []
+    for i in rest:
+        if terms_meet_provably_empty(base, group[i]):
             return []
-    assert base is not None
+        base = intersect_terms(base, group[i])
     slice_terms = [base]
     for j in range(len(group)):
         if j in chosen:
             continue
-        nxt: list[RestrictionTerm] = []
-        for s in slice_terms:
-            for c in complements[j]:
-                u = intersect_terms(s, c)
-                if not term_provably_empty(u):
-                    nxt.append(u)
-        slice_terms = _dedupe(nxt)
+        slice_terms = _dedupe(
+            [
+                intersect_terms(s, c)
+                for s in slice_terms
+                for c in complements[j]
+                if not terms_meet_provably_empty(s, c)
+            ]
+        )
         if not slice_terms:
             return []
     return slice_terms

@@ -30,9 +30,8 @@ from .restrictions import (
     Equation,
     Restriction,
     RestrictionTerm,
-    intersect_terms,
     restriction,
-    term_provably_empty,
+    terms_meet_provably_empty,
 )
 from .system import EquationSystem
 
@@ -142,8 +141,7 @@ def _certify_disjoint(eq: Equation) -> None:
     same-root terms need a provably empty intersection.
     """
     for t1, t2 in itertools.combinations(eq.terms, 2):
-        meet = intersect_terms(t1, t2)
-        if meet is not None and not term_provably_empty(meet):
+        if t1.root == t2.root and not terms_meet_provably_empty(t1, t2):
             raise InvalidInputError(
                 f"equation [{eq.lhs}] is marked disjoint, but its terms {t1} and {t2} "
                 "may overlap"

@@ -30,7 +30,10 @@ def _sorted_patterns(patterns) -> tuple[Permutation, ...]:
 @dataclass(frozen=True)
 class Restriction:
     """Permutations of the closure part `delta` avoiding all of `avoid` and
-    containing all of `contain`.  Never contains the empty permutation."""
+    containing all of `contain`.  Never contains the empty permutation.
+
+    Restrictions key every memo of the construction, so the hash of the
+    fields is computed once; equality still compares the fields."""
 
     delta: str
     avoid: tuple[Permutation, ...]
@@ -42,6 +45,14 @@ class Restriction:
         for p in self.avoid + self.contain:
             if len(p) == 0:
                 raise InvalidInputError("the empty permutation may not constrain a restriction")
+        object.__setattr__(self, "_hash", hash((self.delta, self.avoid, self.contain)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a copy recomputes its own
+        return (Restriction, (self.delta, self.avoid, self.contain))
 
     def __str__(self) -> str:
         av = ",".join(p.compact() for p in self.avoid)
@@ -198,6 +209,18 @@ def term(root: Permutation, children) -> RestrictionTerm:
 def term_provably_empty(t: RestrictionTerm) -> bool:
     """A term is empty iff some child is; this checks the provable direction."""
     return any(provably_empty(c) for c in t.children)
+
+
+@lru_cache(maxsize=1 << 16)
+def _meet_provably_empty(r1: Restriction, r2: Restriction) -> bool:
+    return provably_empty(intersect_restrictions(r1, r2))
+
+
+def terms_meet_provably_empty(t1: RestrictionTerm, t2: RestrictionTerm) -> bool:
+    """True guarantees the same-root terms t1 and t2 are disjoint: their
+    componentwise meet has a provably empty child.  Decided per child pair,
+    without building the meet."""
+    return any(map(_meet_provably_empty, t1.children, t2.children))
 
 
 def term_subset_sufficient(t1: RestrictionTerm, t2: RestrictionTerm) -> bool:

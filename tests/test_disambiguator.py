@@ -1,15 +1,25 @@
 import hashlib
+import importlib
 
 import pytest
 
 import permspec as ps
 from permspec.errors import InvalidInputError
-from permspec.restrictions import RestrictionTerm, restriction
+from permspec.restrictions import (
+    RestrictionTerm,
+    intersect_terms,
+    restriction,
+    root_rank,
+    term_provably_empty,
+    terms_meet_provably_empty,
+)
 from permspec.system import prune_terms
 from reference_systems import AV132_EXPECTED, BIG_EXPECTED, SEP_SUBCLASS_EXPECTED, system_as_dict
 from props import check_add_mandatory_semantics, check_group_expansion_cover, check_system_structure
 
 P = ps.perm
+# the module, not the function of the same name that permspec exports
+dis = importlib.import_module("permspec.disambiguate")
 
 
 def R(delta="", avoid=(), contain=()):
@@ -166,6 +176,18 @@ SYSTEM_JSON_SHA256 = {
         "3a8058d934c41632f2564f0b42e827f95d33632d370cea9ff23cef3357ac17d7",
         "a04f8ab8120afe3ffedab563d97d5ae8d15d4904a8ff04b3ebe1dd6cac1ed6f8",
     ),
+    (("2413", "3142", "21354", "12453"), ()): (
+        "bb1a888927351af5cadd746f53d33b1a5e31647c4cf9da9ff30cf4f64fb0d81a",
+        "08d78a0ceec6578f1844d0618999bdaf3f4bed4761d0173a6d44b9bb5dad4223",
+    ),
+    (("2413", "3142", "21453", "12354"), ()): (
+        "c99c0455f4a4a5c54e739f9c8750644846ce859b6fb6ca8b87f9965c0f6bc846",
+        "39b7ccec63e9288a871f3fa32431edcb873c841dc38a6c67df78fa5e9df1f7be",
+    ),
+    (("2413", "3142", "21543", "12453"), ()): (
+        "46df8245a1e90a219fb8707b64f6fbb0fe315e26c774618763ac74a5364c27bb",
+        "a76e5d548003e33c8a9627c78544643ae097c0962ab47d3d4d4f3c63cdcd28dc",
+    ),
 }
 
 
@@ -188,3 +210,47 @@ def test_add_mandatory_semantics_small():
 
 def test_group_expansion_cover_small():
     check_group_expansion_cover(nmax=6)
+
+
+HARD_BASES = (
+    ("2413", "3142", "21354", "12453"),
+    ("2413", "3142", "21453", "12354"),
+    ("2413", "3142", "21543", "12453"),
+    ("2413", "3142", "21354"),
+)
+
+
+@pytest.mark.parametrize("basis", HARD_BASES, ids="-".join)
+def test_group_memo_and_pair_test_match_building_every_meet(basis, no_simples, monkeypatch):
+    """On every equation: each meet the expansion tests is provably empty by
+    the per-child-pair test exactly when the built meet is, and each group's
+    memoized parts are a fresh expansion's, in order, and so are the
+    specification's terms."""
+    spec = ps.specification(ps.basis_of([P(x) for x in basis]), no_simples)
+    met = []
+
+    def built_and_tested(s, c):
+        got = terms_meet_provably_empty(s, c)
+        assert got == term_provably_empty(intersect_terms(s, c)), (s, c)
+        met.append(got)
+        return got
+
+    monkeypatch.setattr(dis, "terms_meet_provably_empty", built_and_tested)
+    groups = 0
+    for lhs, done in spec.equations.items():
+        eq = ps.eqn_for_restriction(lhs.delta, lhs.avoid, lhs.contain, no_simples)
+        by_root: dict = {}
+        for t in eq.terms:
+            by_root.setdefault(t.root, []).append(t)
+        fresh = []
+        for root in sorted(by_root, key=root_rank):
+            group = by_root[root]
+            if len(group) == 1:
+                fresh += group
+                continue
+            groups += 1
+            parts = dis._disambiguate_group(list(group))
+            assert list(dis._group_parts(tuple(group))) == parts, group
+            fresh += parts
+        assert done.terms == tuple(fresh), lhs
+    assert groups and met.count(True) and met.count(False)

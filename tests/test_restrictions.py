@@ -1,9 +1,17 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 import permspec as ps
 from permspec.errors import InvalidInputError
 from permspec.oracle import member_of_restriction
 from permspec.restrictions import (
+    Restriction,
     RestrictionTerm,
     provably_empty,
     restriction,
@@ -170,3 +178,59 @@ def test_denotation_laws_small():
     check_canonical_form_denotation(nmax=5)
     check_intersection_denotation(nmax=5)
     check_subset_sufficient_counts(nmax=6)
+
+
+def _equal_copies(made):
+    """Every copy in `made` equals every other, hashes alike, and finds every
+    other as a set member and a dict key."""
+    for a in made:
+        for b in made:
+            assert a == b and hash(a) == hash(b)
+            assert b in {a} and {a: 1}[b] == 1
+
+
+def test_restriction_hash_survives_every_way_of_building_and_copying():
+    direct = Restriction("+", (P("132"), P("2341")), (P("21"),))
+    canonical = R("+", ("2341", "132", "1432"), ("21", "1"))
+    rebuilt = dataclasses.replace(direct, avoid=tuple(list(direct.avoid)))
+    made = [direct, canonical, rebuilt, copy.deepcopy(direct), pickle.loads(pickle.dumps(direct))]
+    _equal_copies(made)
+    assert hash(direct) == hash((direct.delta, direct.avoid, direct.contain))
+    assert len({direct, R("+", ("132", "2341"))}) == 2
+
+    first = R(avoid=("132",))
+    terms = [RestrictionTerm(ps.PLUS, (r, first)) for r in made]
+    terms += [copy.deepcopy(terms[0]), pickle.loads(pickle.dumps(terms[0]))]
+    _equal_copies(terms)
+    assert len(set(terms) | {RestrictionTerm(ps.PLUS, (direct, R()))}) == 2
+
+
+def test_restriction_unpickled_in_another_process_rehashes():
+    # string hashes differ between processes, so a stored hash must not travel;
+    # delta "+" because the empty string hashes to 0 in every process
+    r = R("+", ("132", "2341"), ("21",))
+    code = (
+        "import pickle, sys\n"
+        "from permspec import perm\n"
+        "from permspec.restrictions import RestrictionTerm, restriction\n"
+        "r, t = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = restriction('+', [perm('132'), perm('2341')], [perm('21')])\n"
+        "assert hash(r) == hash(fresh) and r in {fresh}\n"
+        "assert t in {RestrictionTerm(perm('12'), (fresh, restriction('')))}\n"
+        "print('ok')\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=seed,
+        PYTHONPATH=os.path.dirname(os.path.dirname(ps.__file__)),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps((r, RestrictionTerm(ps.PLUS, (r, R())))),
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "ok"
