@@ -14,6 +14,10 @@ new maximum n.  Since n is the child's largest entry, such an occurrence maps
 beta's maximum onto n, and the rest of it is an occurrence of beta with its
 maximum deleted in the parent, split by position at the slot where n went.
 Everything here trades speed for obviousness, except that one step.
+
+Closure members keep the decomposition that admitted them.  The audit reads
+restriction and term members from that table, by size and root: a term scans
+only the members with its root, and a delta skips the root it bars.
 """
 
 from __future__ import annotations
@@ -26,15 +30,15 @@ from .perms import (
     MINUS,
     PLUS,
     Permutation,
+    _allowed_simples,
+    _closure_tree,
     _occurrence_search,
     contains,
     decompose,
-    decomposition_tree,
-    in_closure,
     is_simple,
     sort_key,
 )
-from .restrictions import Restriction
+from .restrictions import Restriction, RestrictionTerm
 from .system import EquationSystem
 
 
@@ -102,32 +106,42 @@ def simples_in_class(patterns: Sequence[Permutation], maxlen: int) -> set[Permut
 
 
 def closure_members(simples: Iterable[Permutation], nmax: int) -> dict[int, list[Permutation]]:
-    """Members of the substitution closure for every size up to nmax.
+    """Members of the substitution closure for every size up to nmax."""
+    return {n: [p for p, _, _ in level] for n, level in _decomposed_closure(simples, nmax).items()}
 
-    A candidate is a member iff its decomposition root is allowed and all its
-    children are members; children are smaller, hence already enumerated.
-    """
-    allowed = set(simples)
-    for s in allowed:
-        if not is_simple(s):
-            raise InvalidInputError(f"{s} is not simple")
-    out: dict[int, list[Permutation]] = {0: [], 1: [Permutation((1,))]}
+
+def _decomposed_closure(
+    simples: Iterable[Permutation], nmax: int
+) -> dict[int, list[tuple[Permutation, Permutation | None, tuple[Permutation, ...]]]]:
+    """closure_members, each member as (member, root, children) of its
+    one-level decomposition, root None at size 1.  A candidate is a member
+    iff its root is allowed and all its children are members; children are
+    smaller, hence already enumerated."""
+    if nmax < 0:
+        raise InvalidInputError(f"size must be non-negative, got {nmax}")
+    allowed = _allowed_simples(simples)
+    out: dict[int, list] = {0: []}
+    if nmax >= 1:
+        out[1] = [(Permutation((1,)), None, ())]
     known: set[Permutation] = {Permutation((1,))}
-    level = out[1]
     for n in range(2, nmax + 1):
-        nxt = []
+        level = []
         # no pattern blocks a slot, so each parent yields all its children
-        for parent in level:
+        for parent, _, _ in out[n - 1]:
             for p in _avoiding_children(parent, n, ()):
                 root, kids = decompose(p)
                 if (root == PLUS or root == MINUS or root in allowed) and all(
                     k in known for k in kids
                 ):
-                    nxt.append(p)
-        known.update(nxt)
-        out[n] = nxt
-        level = nxt
+                    level.append((p, root, kids))
+        known.update(p for p, _, _ in level)
+        out[n] = level
     return out
+
+
+def _delta_bars(delta: str, root: Permutation | None) -> bool:
+    """Whether a restriction with this delta excludes members with this root."""
+    return (delta == "+" and root == PLUS) or (delta == "-" and root == MINUS)
 
 
 def member_of_restriction(
@@ -140,10 +154,8 @@ def member_of_restriction(
     """
     if len(sigma) == 0:
         return False
-    if not in_closure(sigma, simples):
-        return False
-    root = decomposition_tree(sigma)[0][1]
-    if (r.delta == "+" and root == PLUS) or (r.delta == "-" and root == MINUS):
+    tree = _closure_tree(sigma, simples)
+    if tree is None or _delta_bars(r.delta, tree[0][1]):
         return False
 
     def has(patt: Permutation) -> bool:
@@ -174,38 +186,42 @@ class AuditReport:
 
 
 class _Denotations:
-    """Size-indexed member sets of restrictions, computed once each."""
+    """Size-indexed member sets of restrictions, computed once each, over
+    `table[n][root]`: the size-n closure members with that root and their
+    children, in enumeration order (`closure[n]` lists all of them)."""
 
     def __init__(self, simples: Sequence[Permutation], nmax: int):
         self.simples = tuple(simples)
-        self.closure = closure_members(self.simples, nmax)
+        self.closure: dict[int, list[Permutation]] = {}
+        self.table: dict[int, dict[Permutation | None, list[tuple[Permutation, tuple]]]] = {}
+        for n, level in _decomposed_closure(self.simples, nmax).items():
+            self.closure[n] = [p for p, _, _ in level]
+            buckets = self.table[n] = {}
+            for p, root, kids in level:
+                buckets.setdefault(root, []).append((p, kids))
         self._cache: dict[tuple[Restriction, int], frozenset[Permutation]] = {}
-        self._split_cache: dict[Permutation, tuple[Permutation, tuple[Permutation, ...]]] = {}
 
     def members(self, r: Restriction, n: int) -> frozenset[Permutation]:
         key = (r, n)
         if key not in self._cache:
             # closure membership holds by construction; only the delta and
             # the pattern constraints need testing here
-            out = []
-            for p in self.closure[n]:
-                if r.delta and n > 1:
-                    root, _ = self.split(p)
-                    if (r.delta == "+" and root == PLUS) or (
-                        r.delta == "-" and root == MINUS
-                    ):
-                        continue
-                if any(contains(p, e) for e in r.avoid):
-                    continue
-                if all(contains(p, a) for a in r.contain):
-                    out.append(p)
-            self._cache[key] = frozenset(out)
+            self._cache[key] = frozenset(
+                p
+                for root, bucket in self.table[n].items()
+                if not _delta_bars(r.delta, root)
+                for p, _ in bucket
+                if not any(contains(p, e) for e in r.avoid)
+                and all(contains(p, a) for a in r.contain)
+            )
         return self._cache[key]
 
-    def split(self, p: Permutation):
-        if p not in self._split_cache:
-            self._split_cache[p] = decompose(p)
-        return self._split_cache[p]
+    def in_term(self, t: RestrictionTerm, root: Permutation | None, kids) -> bool:
+        """Whether the member with this root and these children lies in the
+        inflation that t denotes."""
+        return root == t.root and all(
+            kid in self.members(child, len(kid)) for kid, child in zip(kids, t.children)
+        )
 
 
 def audit_specification(
@@ -229,7 +245,9 @@ def audit_specification(
             if eq.has_one and n == 1:
                 parts.append(("1", frozenset({Permutation((1,))})))
             for t in eq.terms:
-                parts.append((str(t), _term_members(t, n, den)))
+                bucket = den.table[n].get(t.root, ())
+                hits = frozenset(p for p, kids in bucket if den.in_term(t, t.root, kids))
+                parts.append((str(t), hits))
             union: set[Permutation] = set()
             total = 0
             for _, ms in parts:
@@ -261,19 +279,6 @@ def _difference(want, got) -> str:
     missing = sorted(want - got, key=sort_key)[:3]
     extra = sorted(got - want, key=sort_key)[:3]
     return f"missing {missing}, extra {extra}"
-
-
-def _term_members(t, n: int, den: _Denotations) -> frozenset[Permutation]:
-    if n < len(t.root):
-        return frozenset()
-    out = []
-    for p in den.closure[n]:
-        root, kids = den.split(p)
-        if root != t.root:
-            continue
-        if all(kid in den.members(child, len(kid)) for kid, child in zip(kids, t.children)):
-            out.append(p)
-    return frozenset(out)
 
 
 def _overlap_witness(parts) -> str:

@@ -349,9 +349,25 @@ def decomposition_tree(p: Permutation) -> list[tuple[int, Permutation | None, in
 def in_closure(p: Permutation, simples: Iterable[Permutation]) -> bool:
     """Whether every prime node of p's decomposition tree carries a
     permutation from the given set of simple permutations."""
+    return _closure_tree(p, simples) is not None
+
+
+def _closure_tree(
+    p: Permutation, simples: Iterable[Permutation]
+) -> list[tuple[int, Permutation | None, int]] | None:
+    """p's decomposition tree if p lies in the substitution closure of the
+    given simple permutations, else None."""
+    allowed = _allowed_simples(simples)
+    tree = decomposition_tree(p)
+    if all(root in allowed for _, root, _ in tree if root not in (None, PLUS, MINUS)):
+        return tree
+    return None
+
+
+def _allowed_simples(simples: Iterable[Permutation]) -> set[Permutation]:
+    """The given permutations as a set, refusing any that is not simple."""
     allowed = set(simples)
     for s in allowed:
         if not is_simple(s):
             raise InvalidInputError(f"{s} is not simple")
-    tree = decomposition_tree(p)
-    return all(root in allowed for _, root, _ in tree if root not in (None, PLUS, MINUS))
+    return allowed

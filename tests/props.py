@@ -17,14 +17,6 @@ from permspec.perms import perm
 from permspec.restrictions import Restriction, RestrictionTerm, restriction
 
 
-def term_hit(den: _Denotations, t: RestrictionTerm, p) -> bool:
-    """Whether p lies in the inflation denoted by t, via cached member sets."""
-    root, kids = den.split(p)
-    return root == t.root and all(
-        kid in den.members(child, len(kid)) for kid, child in zip(kids, t.children)
-    )
-
-
 def all_perms(n):
     return [ps.Permutation(p) for p in itertools.permutations(range(1, n + 1))]
 
@@ -277,10 +269,8 @@ def check_complement_term_cover(nmax=7, simples=()):
     for t in terms:
         parts = (t,) + ps.complement_term(t)
         for n in range(2, nmax + 1):
-            for p in den.closure[n]:
-                if den.split(p)[0] != t.root:
-                    continue
-                hits = sum(term_hit(den, part, p) for part in parts)
+            for p, kids in den.table[n].get(t.root, ()):
+                hits = sum(den.in_term(part, t.root, kids) for part in parts)
                 assert hits == 1, (t, p, hits)
 
 
@@ -349,11 +339,9 @@ def check_add_constraints_semantics(nmax=8, gmax=4, simples=("3142",)):
         for g in gammas:
             rewritten = ps.add_constraints(t, g)
             for n in range(2, nmax + 1):
-                for p in den.closure[n]:
-                    if den.split(p)[0] != t.root:
-                        continue
-                    in_lhs = term_hit(den, t, p) and not ps.contains(p, g)
-                    in_union = any(term_hit(den, u, p) for u in rewritten)
+                for p, kids in den.table[n].get(t.root, ()):
+                    in_lhs = den.in_term(t, t.root, kids) and not ps.contains(p, g)
+                    in_union = any(den.in_term(u, t.root, kids) for u in rewritten)
                     assert in_lhs == in_union, (t, g, p)
 
 
@@ -373,11 +361,9 @@ def check_add_mandatory_semantics(nmax=7, gmax=4, simples=("3142",)):
         for g in gammas:
             rewritten = ps.add_mandatory(t, g)
             for n in range(2, nmax + 1):
-                for p in den.closure[n]:
-                    if den.split(p)[0] != t.root:
-                        continue
-                    in_lhs = term_hit(den, t, p) and ps.contains(p, g)
-                    in_union = any(term_hit(den, u, p) for u in rewritten)
+                for p, kids in den.table[n].get(t.root, ()):
+                    in_lhs = den.in_term(t, t.root, kids) and ps.contains(p, g)
+                    in_union = any(den.in_term(u, t.root, kids) for u in rewritten)
                     assert in_lhs == in_union, (t, g, p)
 
 
@@ -406,7 +392,8 @@ def check_group_expansion_cover(nmax=7, simples=()):
     )
     expanded = _disambiguate_group([t1, t2])
     for n in range(2, nmax + 1):
-        for p in den.closure[n]:
-            before = term_hit(den, t1, p) or term_hit(den, t2, p)
-            hits = sum(term_hit(den, u, p) for u in expanded)
-            assert hits == (1 if before else 0), (p, hits)
+        for root, bucket in den.table[n].items():
+            for p, kids in bucket:
+                before = den.in_term(t1, root, kids) or den.in_term(t2, root, kids)
+                hits = sum(den.in_term(u, root, kids) for u in expanded)
+                assert hits == (1 if before else 0), (p, hits)

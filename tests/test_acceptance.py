@@ -7,6 +7,7 @@ either a published constant or recomputed here by an independent route
 """
 
 import random
+import time
 from fractions import Fraction
 
 from scipy.stats import chi2
@@ -210,6 +211,7 @@ def test_criterion_8_property_suites(av132_spec, av132_basis,
         ),
     ]
     for name, bullet in bullets:
+        start = time.perf_counter()
         bullet()
-        print(f"  property: {name} ok")
+        print(f"  property: {name} ok ({time.perf_counter() - start:.1f} s)")
     report("8 (property suites)", f"{len(bullets)} invariant groups green at stated bounds")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -11,9 +12,10 @@ from permspec.oracle import (
     AuditReport,
     audit_specification,
     class_members,
+    closure_members,
     member_of_restriction,
 )
-from permspec.restrictions import Equation, restriction
+from permspec.restrictions import Equation, RestrictionTerm, restriction
 
 P = ps.perm
 
@@ -24,6 +26,14 @@ FIVE_PATTERN = ("1243", "2341", "2413", "41352", "531642")
 MEMBER_LISTS_SHA256 = {
     ("2413", "3142"): "417272b912c7e1551876ef12cb937b4cc531e2771198d5da8cda6be55aac0cdf",
     FIVE_PATTERN: "4ad2029787a53e405bf2226398a621c744a33c245c87faff437696a337d9bb42",
+}
+
+# SHA-256 of member_lists_text(closure_members(simples, 8)), recorded from the
+# enumeration that kept no decompositions.
+CLOSURE_LISTS_SHA256 = {
+    (): "d051da94cf36c50a12dee3937a622f8d28d4802aedf2ce5ff26817a3acb35994",
+    ("3142",): "6ae187a676c7209ffa7023783c6c796df6d45391d44279852559745ebcf7d1da",
+    ("3142", "41352"): "fa8e3c37e2e5784cbab5cf449f0624cc0d2483793afdce441723565be547f3f4",
 }
 
 REFERENCE_BASES = {
@@ -58,6 +68,21 @@ def test_member_lists_are_pinned(basis):
     members = class_members([P(b) for b in basis], 9)
     digest = hashlib.sha256(member_lists_text(members).encode()).hexdigest()
     assert digest == MEMBER_LISTS_SHA256[basis]
+
+
+@pytest.mark.parametrize(
+    "simples", list(CLOSURE_LISTS_SHA256), ids=lambda s: "-".join(s) or "no-simples"
+)
+def test_closure_lists_are_pinned(simples):
+    members = closure_members([P(s) for s in simples], 8)
+    digest = hashlib.sha256(member_lists_text(members).encode()).hexdigest()
+    assert digest == CLOSURE_LISTS_SHA256[simples]
+
+
+def test_closure_sizes_below_one_match_class_members():
+    assert closure_members([], 0) == class_members([], 0) == {0: []}
+    with pytest.raises(InvalidInputError):
+        closure_members([], -3)
 
 
 @pytest.mark.parametrize("basis", list(REFERENCE_BASES.values()), ids=list(REFERENCE_BASES))
@@ -171,6 +196,23 @@ def test_audit_flags_incompleteness():
     report = audit_specification(system, basis.patterns, 3)
     assert not report.passed
     assert any("mismatch" in v for v in report.violations)
+
+
+def test_audit_flags_one_wrong_child(av132_spec, av132_basis):
+    root = av132_spec.root
+    eq = av132_spec.equations[root]
+    [plus_term] = [t for t in eq.terms if t.root == ps.PLUS]
+    assert plus_term.children[1] != root
+    # C<132> in place of the second child C<21> also admits 1 (+) 21 = 132
+    wrong = RestrictionTerm(ps.PLUS, (plus_term.children[0], root))
+    terms = tuple(wrong if t == plus_term else t for t in eq.terms)
+    system = dataclasses.replace(av132_spec, equations=dict(av132_spec.equations))
+    system.equations[root] = Equation(eq.lhs, eq.has_one, terms, eq.disjoint)
+    report = audit_specification(system, av132_basis.patterns, 5)
+    assert [v[: v.index(";")] for v in report.violations] == [
+        f"size {n}: rhs of [{root}] mismatch" for n in (3, 4, 5)
+    ]
+    assert report.violations[0].endswith(f"missing [], extra [{P('132')!r}]")
 
 
 def test_audit_names_a_witness_when_the_class_disagrees(no_simples):
