@@ -30,6 +30,7 @@ from .restrictions import (
     Equation,
     Restriction,
     RestrictionTerm,
+    _delta_bars,
     restriction,
     terms_meet_provably_empty,
 )
@@ -114,6 +115,11 @@ def system_from_obj(obj) -> EquationSystem:
                 raise InvalidInputError(
                     f"system JSON: term root {root} is neither 12, 21 nor one of closure_simples"
                 )
+            if _delta_bars(lhs.delta, root):
+                raise InvalidInputError(
+                    f"system JSON: equation [{lhs}] has a term with root {root.compact()}, "
+                    "which its part excludes"
+                )
             children = []
             for key in _field(tobj, "children", list):
                 if not isinstance(key, str) or key not in by_key:
@@ -160,7 +166,7 @@ def _field(obj, name: str, kind: type | tuple[type, ...]):
 def _perm_from_obj(v) -> Permutation:
     if not isinstance(v, list) or not all(type(x) is int for x in v):
         raise InvalidInputError(f"system JSON: {v!r} is not a list of integers")
-    return Permutation(tuple(v))
+    return Permutation(v)
 
 
 def dumps_system(system: EquationSystem) -> str:

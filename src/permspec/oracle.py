@@ -22,12 +22,14 @@ only the members with its root, and a delta skips the root it bars.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 from .perms import (
     MINUS,
+    ONE,
     PLUS,
     Permutation,
     _allowed_simples,
@@ -38,7 +40,7 @@ from .perms import (
     is_simple,
     sort_key,
 )
-from .restrictions import Restriction, RestrictionTerm
+from .restrictions import Restriction, RestrictionTerm, _delta_bars
 from .system import EquationSystem
 
 
@@ -67,7 +69,7 @@ def class_members(patterns: Sequence[Permutation], nmax: int) -> dict[int, list[
     cuts = [_insertion_cut(b) for b in patterns]
     out: dict[int, list[Permutation]] = {0: []}
     if nmax >= 1:
-        out[1] = [Permutation((1,))]
+        out[1] = [ONE]
     for n in range(2, nmax + 1):
         out[n] = [child for p in out[n - 1] for child in _avoiding_children(p, n, cuts)]
     return out
@@ -122,8 +124,8 @@ def _decomposed_closure(
     allowed = _allowed_simples(simples)
     out: dict[int, list] = {0: []}
     if nmax >= 1:
-        out[1] = [(Permutation((1,)), None, ())]
-    known: set[Permutation] = {Permutation((1,))}
+        out[1] = [(ONE, None, ())]
+    known: set[Permutation] = {ONE}
     for n in range(2, nmax + 1):
         level = []
         # no pattern blocks a slot, so each parent yields all its children
@@ -137,11 +139,6 @@ def _decomposed_closure(
         known.update(p for p, _, _ in level)
         out[n] = level
     return out
-
-
-def _delta_bars(delta: str, root: Permutation | None) -> bool:
-    """Whether a restriction with this delta excludes members with this root."""
-    return (delta == "+" and root == PLUS) or (delta == "-" and root == MINUS)
 
 
 def member_of_restriction(
@@ -188,14 +185,12 @@ class AuditReport:
 class _Denotations:
     """Size-indexed member sets of restrictions, computed once each, over
     `table[n][root]`: the size-n closure members with that root and their
-    children, in enumeration order (`closure[n]` lists all of them)."""
+    children, in enumeration order."""
 
     def __init__(self, simples: Sequence[Permutation], nmax: int):
         self.simples = tuple(simples)
-        self.closure: dict[int, list[Permutation]] = {}
         self.table: dict[int, dict[Permutation | None, list[tuple[Permutation, tuple]]]] = {}
         for n, level in _decomposed_closure(self.simples, nmax).items():
-            self.closure[n] = [p for p, _, _ in level]
             buckets = self.table[n] = {}
             for p, root, kids in level:
                 buckets.setdefault(root, []).append((p, kids))
@@ -243,7 +238,7 @@ def audit_specification(
         for n in range(1, nmax + 1):
             parts: list[tuple[str, frozenset[Permutation]]] = []
             if eq.has_one and n == 1:
-                parts.append(("1", frozenset({Permutation((1,))})))
+                parts.append(("1", frozenset({ONE})))
             for t in eq.terms:
                 bucket = den.table[n].get(t.root, ())
                 hits = frozenset(p for p, kids in bucket if den.in_term(t, t.root, kids))
@@ -282,10 +277,9 @@ def _difference(want, got) -> str:
 
 
 def _overlap_witness(parts) -> str:
-    seen: dict[Permutation, str] = {}
-    for label, ms in parts:
-        for p in ms:
-            if p in seen:
-                return f"{p} belongs to both {seen[p]} and {label}"
-            seen[p] = label
-    return "unknown"
+    """The least member, in `sort_key` order, that two parts share, and the
+    first two parts holding it; the parts must overlap."""
+    counts = Counter(p for _, ms in parts for p in ms)
+    p = min((p for p, c in counts.items() if c > 1), key=sort_key)
+    first, second = [label for label, ms in parts if p in ms][:2]
+    return f"{p} belongs to both {first} and {second}"

@@ -1,10 +1,12 @@
 """Permutations in one-line notation: patterns, intervals, substitution,
 and the substitution decomposition tree.
 
-A permutation of size n is stored as the tuple of its values, a bijection of
-1..n.  All indices exposed by this module are 1-based.  The empty permutation
-is a legal value (it shows up in generalized substitutions) but is rejected
-by the decomposition routines.
+A permutation of size n is the tuple of its values, a bijection of 1..n,
+checked once when it is built: its length, iteration, equality and hash are
+the tuple's own, and `values` is the permutation itself.  All indices exposed
+by this module are 1-based.  The empty permutation is a legal value (it shows
+up in generalized substitutions) but is rejected by the decomposition
+routines.
 
 `decomposition_tree` is the one decomposition walker; `decompose` is its
 first level with normalized children, and `in_closure` checks its roots.
@@ -18,7 +20,6 @@ All functions here are pure; values are immutable and hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -27,31 +28,34 @@ from .errors import DecompositionError, InvalidInputError, InvalidPermutationErr
 Interval = tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
-    values: tuple[int, ...]
+class Permutation(tuple):
+    """A checked tuple of values, equal to and hashing like the plain tuple;
+    slices and sums are plain tuples, and `<` is lexicographic (`sort_key` is
+    the canonical order)."""
 
-    def __post_init__(self) -> None:
-        n = len(self.values)
-        if sorted(self.values) != list(range(1, n + 1)):
-            raise InvalidPermutationError(f"not a permutation of 1..{n}: {self.values}")
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.values)
+    def __new__(cls, values: Iterable[int]) -> Permutation:
+        self = tuple.__new__(cls, values)
+        n = len(self)
+        if sorted(self) != list(range(1, n + 1)):
+            raise InvalidPermutationError(f"not a permutation of 1..{n}: {tuple(self)}")
+        return self
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
+    @property
+    def values(self) -> tuple[int, ...]:
+        return self
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values)
+        return " ".join(map(str, self))
 
     def __repr__(self) -> str:
-        return f"perm('{self}')" if self.values else "EMPTY"
+        return f"perm('{self}')" if self else "EMPTY"
 
     def compact(self) -> str:
         """Digit string when n <= 9, space-separated otherwise."""
-        if len(self.values) <= 9:
-            return "".join(str(v) for v in self.values)
+        if len(self) <= 9:
+            return "".join(map(str, self))
         return str(self)
 
 
@@ -73,9 +77,9 @@ def perm(spec: str | Iterable[int]) -> Permutation:
             return EMPTY
         parts = text.split()
         if len(parts) == 1 and len(parts[0]) > 1:
-            return Permutation(tuple(int(c) for c in parts[0]))
-        return Permutation(tuple(int(p) for p in parts))
-    return Permutation(tuple(spec))
+            return Permutation(int(c) for c in parts[0])
+        return Permutation(int(p) for p in parts)
+    return Permutation(spec)
 
 
 def sort_key(p: Permutation) -> tuple[int, tuple[int, ...]]:
@@ -92,7 +96,7 @@ def normalize(values: Sequence[int]) -> Permutation:
     if len(set(values)) != len(values):
         raise InvalidPermutationError(f"duplicate entries in {values!r}")
     ranks = {v: i + 1 for i, v in enumerate(sorted(values))}
-    return Permutation(tuple(ranks[v] for v in values))
+    return Permutation(ranks[v] for v in values)
 
 
 def pattern_of(p: Permutation, indices: Sequence[int]) -> Permutation:
@@ -257,7 +261,7 @@ def generalized_substitute(root: Permutation, blocks: Sequence[Permutation]) -> 
     out: list[int] = []
     for i in range(n):
         out.extend(v + offsets[i] for v in blocks[i].values)
-    return Permutation(tuple(out))
+    return Permutation(out)
 
 
 def _split(values: tuple[int, ...], pos: int, size: int, offset: int) -> tuple[Permutation, tuple]:
@@ -318,7 +322,7 @@ def decompose(p: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:
         raise DecompositionError(f"cannot decompose a permutation of size {n}")
     root, windows = _split(p.values, 0, n, 0)
     return root, tuple(
-        Permutation(tuple(x - offset for x in p.values[pos : pos + size]))
+        Permutation(x - offset for x in p.values[pos : pos + size])
         for pos, size, offset in windows
     )
 

@@ -30,10 +30,7 @@ def _sorted_patterns(patterns) -> tuple[Permutation, ...]:
 @dataclass(frozen=True)
 class Restriction:
     """Permutations of the closure part `delta` avoiding all of `avoid` and
-    containing all of `contain`.  Never contains the empty permutation.
-
-    Restrictions key every memo of the construction, so the hash of the
-    fields is computed once; equality still compares the fields."""
+    containing all of `contain`.  Never contains the empty permutation."""
 
     delta: str
     avoid: tuple[Permutation, ...]
@@ -45,14 +42,6 @@ class Restriction:
         for p in self.avoid + self.contain:
             if len(p) == 0:
                 raise InvalidInputError("the empty permutation may not constrain a restriction")
-        object.__setattr__(self, "_hash", hash((self.delta, self.avoid, self.contain)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so a copy recomputes its own
-        return (Restriction, (self.delta, self.avoid, self.contain))
 
     def __str__(self) -> str:
         av = ",".join(p.compact() for p in self.avoid)
@@ -69,6 +58,11 @@ class Restriction:
             tuple(sort_key(p) for p in self.avoid),
             tuple(sort_key(p) for p in self.contain),
         )
+
+
+def _delta_bars(delta: str, root: Permutation | None) -> bool:
+    """Whether a restriction with this delta excludes members with this root."""
+    return (delta == "+" and root == PLUS) or (delta == "-" and root == MINUS)
 
 
 def restriction(delta: str, avoid=(), contain=()) -> Restriction:

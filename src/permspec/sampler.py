@@ -191,7 +191,7 @@ def _unrank(plan: tuple[PlanEquation, ...], n: int, rank: int) -> Permutation:
                 values[pos] = offsets[c] + 1
             else:
                 push((kids[c], sizes[c], pos, offsets[c], ranks[c]))
-    return Permutation(tuple(values))
+    return Permutation(values)
 
 
 def sample_many(tables: SamplingTables, n: int, count: int, rng: IntegerSource) -> list[Permutation]:
@@ -228,7 +228,7 @@ def _parse(tables: SamplingTables, sigma: Permutation) -> tuple[list, list[list[
             root = [0] * len(order)
             for value, c in enumerate(order, 1):
                 root[c] = value
-            by_root.setdefault(Permutation(tuple(root)), []).append((i, t, kids))
+            by_root.setdefault(Permutation(root), []).append((i, t, kids))
     tree = [(size, by_root.get(root, ()), base) for size, root, base in decomposition_tree(sigma)]
     atom = [int(has_one) for _, has_one, _ in plan]
     derivations = [atom] * len(tree)

@@ -246,7 +246,7 @@ def check_complement_restriction_cover(nmax=7, simples=("3142",)):
     for r in sample_restrictions():
         parts = (r,) + ps.complement_restriction(r)
         for n in range(1, nmax + 1):
-            for p in den.closure[n]:
+            for p, _ in (m for bucket in den.table[n].values() for m in bucket):
                 if r.delta == "+" and plus_decomposable(p):
                     continue
                 if r.delta == "-" and minus_decomposable(p):

@@ -375,6 +375,37 @@ def test_forged_has_one_is_domain_error(tmp_path, big_spec, capsys, lhs, forged)
 
 
 @pytest.mark.parametrize(
+    "lhs,root",
+    [
+        # a plus term in C+<> made the separable class count 1, 2, 7, 31,
+        # 154, ... instead of 1, 2, 6, 22, 90, ...
+        ("C+<>", "plus"),
+        ("C-<>", "minus"),
+    ],
+)
+def test_root_barred_by_the_part_is_domain_error(tmp_path, capsys, lhs, root):
+    sep = ps.substitution_closed_spec(ps.simple_set([]))
+    obj = jsonio.system_to_obj(sep)
+    (eobj,) = [e for r, e in zip(sep.equations, obj["equations"]) if str(r) == lhs]
+    (tobj,) = [t for t in obj["equations"][0]["terms"] if t["root"] == root]
+    eobj["terms"].append(tobj)
+    spec_path = tmp_path / "forged.json"
+    spec_path.write_text(json.dumps(obj))
+    basis = tmp_path / "basis.txt"
+    basis.write_text("2413\n3142\n")
+    spec = ["--spec", str(spec_path)]
+    for argv in (
+        ["count", *spec, "-N", "5"],
+        ["sample", *spec, "--size", "5"],
+        ["heatmap", *spec, "--size", "5", "--samples", "1", "--out", str(tmp_path / "h.csv")],
+        ["oracle", "audit", *spec, "--basis", str(basis), "--nmax", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert f"[{lhs}]" in one_line(err) and "root" in err, argv
+
+
+@pytest.mark.parametrize(
     "argv", [("enumerate", "-n", "-1"), ("simples", "--maxlen", "-1")], ids=lambda a: a[0]
 )
 def test_negative_oracle_size_is_domain_error(big_files, capsys, argv):

@@ -188,6 +188,22 @@ def test_audit_flags_forged_disjointness(sep_subclass_basis, no_simples):
     assert any("1 2" in v for v in report.violations)
 
 
+def test_overlap_witness_is_the_least_shared_member(no_simples):
+    # the witness is the least shared member in sort_key order, whatever the
+    # order in which a set of permutations iterates (it once named 1 3 2 at
+    # size 3)
+    basis = ps.basis_of([P(x) for x in ("2413", "3142", "21354", "12453")])
+    system = ps.ambiguous_system(basis, no_simples)
+    eq = system.equations[system.root]
+    system.equations[system.root] = Equation(eq.lhs, eq.has_one, eq.terms, disjoint=True)
+    report = audit_specification(system, basis.patterns, 5)
+    assert report.violations == [
+        f"size {n}: overlapping terms in [C<12453,21354>]: {ps.Permutation(range(1, n + 1))} "
+        "belongs to both plus[C+<12>, C<132>] and plus[C+<12,21>, C<1342,21354>]"
+        for n in range(2, 6)
+    ]
+
+
 def test_audit_flags_incompleteness():
     basis = ps.basis_of([P("21")])
     lhs = restriction("", [P("21")])

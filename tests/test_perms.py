@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 
 import permspec as ps
 from permspec.errors import DecompositionError, InvalidInputError, InvalidPermutationError
-from permspec.perms import _occurrence_search, decomposition_tree, normalized_blocks, pattern_at
+from permspec.perms import (
+    _occurrence_search,
+    decomposition_tree,
+    normalized_blocks,
+    pattern_at,
+    sort_key,
+)
 from props import (
     all_perms,
     check_closure_downward_closed,
@@ -46,6 +54,72 @@ def test_normalize_rejects_duplicates():
 def test_permutation_validation():
     with pytest.raises(InvalidPermutationError):
         ps.Permutation((1, 3))
+
+
+def test_permutation_is_the_tuple_of_its_values():
+    p = P("3142")
+    assert isinstance(p, tuple) and p.values is p
+    assert p == (3, 1, 4, 2) and hash(p) == hash((3, 1, 4, 2))
+    assert {(3, 1, 4, 2): "x"}[p] == "x"
+    assert p[0] == 3 and p[1:] == (1, 4, 2) and type(p[1:]) is tuple
+    assert p + (5,) == (3, 1, 4, 2, 5) and type(p + (5,)) is tuple
+    # `<` is lexicographic; sort_key orders by size first
+    assert P("213") < P("3142") and sort_key(P("3142")) > sort_key(P("213"))
+
+
+def test_permutation_construction():
+    made = [
+        ps.Permutation((2, 3, 1)),
+        ps.Permutation([2, 3, 1]),
+        ps.Permutation(v for v in (2, 3, 1)),
+        ps.Permutation(values=(2, 3, 1)),
+        ps.Permutation(P("231")),
+    ]
+    for p in made:
+        assert type(p) is ps.Permutation and p == P("231")
+    assert ps.Permutation(()) == ps.EMPTY
+
+
+def test_permutation_refusals():
+    with pytest.raises(TypeError):
+        ps.Permutation()
+    with pytest.raises(InvalidPermutationError) as exc:
+        ps.Permutation([1, 1])
+    assert str(exc.value) == "not a permutation of 1..2: (1, 1)"
+    with pytest.raises(InvalidPermutationError) as exc:
+        P("1 3")
+    assert str(exc.value) == "not a permutation of 1..2: (1, 3)"
+    with pytest.raises(InvalidPermutationError) as exc:
+        ps.normalize((1, 3, 3))
+    assert str(exc.value) == "duplicate entries in (1, 3, 3)"
+
+
+def test_permutation_is_immutable():
+    p = P("21")
+    with pytest.raises(AttributeError):
+        p.values = (1, 2)
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    with pytest.raises(TypeError):
+        p[0] = 1
+
+
+def test_permutation_copies():
+    p = P("2413")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is ps.Permutation and q == p
+    q = copy.deepcopy(p)
+    assert type(q) is ps.Permutation and q == p
+
+
+def test_permutation_text_forms():
+    assert not ps.EMPTY and len(ps.EMPTY) == 0
+    assert repr(ps.EMPTY) == "EMPTY" and str(ps.EMPTY) == "" and ps.EMPTY.compact() == ""
+    p = P("3142")
+    assert (repr(p), str(p), p.compact()) == ("perm('3 1 4 2')", "3 1 4 2", "3142")
+    big = ps.Permutation(range(1, 11))
+    assert big.compact() == str(big) == "1 2 3 4 5 6 7 8 9 10"
 
 
 @given(perms())
