@@ -4,15 +4,24 @@ A disjoint system is itself a positive algebraic system for the ordinary
 generating functions: the atom is z, a term is the product of its children's
 series, a union is a sum.  It is solved as a truncated-series fixed point
 evaluated in size order: every term has at least two children of positive
-valuation, so each coefficient depends only on strictly smaller ones and a
-single size-major sweep is exact.  The sweep keeps, for every term, the
-series of the products of its first j children; the last one is the term's
-own series, and the sampler reuses all of them to split sizes among
-children.  A prefix product is named by its ordered child tuple, and terms
-of different equations often begin with the same children, so each distinct
-product is one series, computed once per size and shared by every term that
-starts with it (the recursive method's binary products, Flajolet, Zimmermann
-& Van Cutsem 1994).  All arithmetic is arbitrary-precision integer.
+valuation, so each coefficient depends only on strictly smaller ones.  The
+sweep keeps, for every term, the series of the products of its first j
+children; the last one is the term's own series, and the sampler reuses all
+of them to split sizes among children.  Each distinct prefix (ordered child
+tuple) is one series, shared by every term that starts with it (the
+recursive method's binary products, Flajolet, Zimmermann & Van Cutsem 1994).
+
+Each product s = l * r is relaxed (van der Hoeven 2002): the pairs
+l[i] * r[n - i] with i or n - i below T = 128 are summed at size n (all of
+them below 2T); every other pair lies in one square tile of side m = T * 2^k
+at (m, b) or (a, m), a and b multiples of m, added into s[a + b ..] at size
+a + b - 1, once its inputs are final.  A tile is one exact `decimal` product
+of its two windows, each packed with one zero-padded slot per coefficient:
+libmpdec multiplies large operands by number-theoretic transform, Python
+ints by Karatsuba.  A slot holds the bits of both factors, so packing pays
+only when both grow exponentially: a product is tiled when both factors
+have a coefficient of at least T bits at size 2T - 1, and otherwise keeps
+one full dot product per size, as every product does below that size.
 
 The sweep reads its series from the draw plan, which it returns with the
 counts.  The plan numbers the equations from 0 (the root) and holds, per
@@ -27,6 +36,7 @@ looks up no restriction; all of them are read-only once the sweep returns.
 
 from __future__ import annotations
 
+import decimal
 import operator
 
 from .errors import InvalidInputError, NonDisjointSystemError
@@ -93,15 +103,100 @@ def _solve(
             )
         plan.append((counts[key], eq.has_one, tuple(terms)))
     mul = operator.mul
+    full, tiled = steps, []
+    # every decimal sum and product is exact or raises
+    context = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded],
+    )
     for n in range(1, order + 1):
-        for series, left, right in steps:
+        for series, left, right in full:
             series[n] = sum(map(mul, left[n - 1 : 0 : -1], right[1:n]))
+        for series, left, right, tiles in tiled:
+            series[n] = (
+                int(tiles[n])
+                + sum(map(mul, left[1:_EDGE], right[n - 1 : n - _EDGE : -1]))
+                + sum(map(mul, left[n - 1 : n - _EDGE : -1], right[1:_EDGE]))
+            )
+            tiles[n] = 0
         for total, has_one, terms in plan:
             total[n] = (1 if has_one and n == 1 else 0) + sum(t[0][n] for t in terms)
+        if n == 2 * _EDGE - 1:
+            large = [_has_large(left) and _has_large(right) for _, left, right in steps]
+            full = [s for s, big in zip(steps, large) if not big]
+            tiled = [(*s, [0] * (order + 1)) for s, big in zip(steps, large) if big]
+        if n < order and (n + 1) % _EDGE == 0:
+            for _, left, right, tiles in tiled:
+                _add_tiles(tiles, left, right, n + 1, order, context)
     for lhs, arr in counts.items():
         if arr[0] != 0 or arr[1] not in (0, 1):
             raise AssertionError(f"count table for {lhs} violates c0=0, c1<=1")
     return counts, tuple(plan)
+
+
+# Pairs (i, n - i) with i or n - i below the edge are summed at size n;
+# the others lie in the tiles, of side edge * 2^k.
+_EDGE = 128
+
+
+def _has_large(series: list[int]) -> bool:
+    """Whether a coefficient up to size 2 * edge - 1 has at least edge bits."""
+    return max(map(int.bit_length, series[: 2 * _EDGE])) >= _EDGE
+
+
+def _add_tiles(
+    tiles: list,
+    left: list[int],
+    right: list[int],
+    start: int,
+    order: int,
+    context: decimal.Context,
+) -> None:
+    """Add into tiles[start..order] the tiles of left * right at (a, b) with
+    a + b = start, cut to the pairs whose sum is at most the order."""
+    side = _EDGE
+    while 2 * side <= start and start % side == 0:
+        for a, b in {(side, start - side), (start - side, side)}:  # diagonal once
+            l_cut = left[a : min(a + side, order + 1 - b)]
+            r_cut = right[b : min(b + side, order + 1 - a)]
+            _add_tile(tiles, l_cut, r_cut, start, order, context)
+        side *= 2
+
+
+def _add_tile(
+    tiles: list,
+    left: list[int],
+    right: list[int],
+    start: int,
+    order: int,
+    context: decimal.Context,
+) -> None:
+    """Add slot k of the packed product left * right into tiles[start + k],
+    up to the order; its strings and packs are freed on return."""
+    # a slot sums at most len(left) products, each below 2^bits
+    bits = max(map(int.bit_length, left)) + max(map(int.bit_length, right))
+    width = (bits + len(left).bit_length()) * 30103 // 100000 + 1  # 10^width > slot
+    digits = str(
+        context.multiply(_pack(left, width, context), _pack(right, width, context))
+    )
+    for k, end in zip(range(start, order + 1), range(len(digits), 0, -width)):
+        slot = decimal.Decimal(digits[max(end - width, 0) : end])
+        tiles[k] = context.add(tiles[k], slot)
+
+
+def _pack(window: list[int], width: int, context: decimal.Context) -> decimal.Decimal:
+    """sum(window[k] * 10^(width * k)), summed pairwise with exact shifts."""
+    terms = [decimal.Decimal(x) for x in window]
+    while len(terms) > 1:
+        odd = terms[-1:] if len(terms) % 2 else []
+        terms = [
+            context.add(low, context.scaleb(high, width))
+            for low, high in zip(terms[::2], terms[1::2])
+        ] + odd
+        width *= 2
+    return terms[0]
 
 
 def class_counts(spec: EquationSystem, order: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Reference specifications for the fixture classes, encoded as
-{lhs string: (has_one, set of term strings)}; comparison is order-free."""
+{lhs string: (has_one, set of term strings)}; comparison is order-free;
+and the separable counts from their own recurrence."""
 
 AV132_EXPECTED = {
     "C<132>": (True, {"plus[C+<132>, C<21>]", "minus[C-<132>, C<132>]"}),
@@ -102,3 +103,12 @@ def system_as_dict(system):
         str(lhs): (eq.has_one, {str(t) for t in eq.terms})
         for lhs, eq in system.equations.items()
     }
+
+
+def separable_counts(order):
+    """c_0..c_order of the separable permutations: c_n is the large Schröder
+    number S_{n-1}, with (m+1) S_m = 3(2m-1) S_{m-1} - (m-2) S_{m-2}."""
+    s = [1, 2]
+    for m in range(2, order):
+        s.append((3 * (2 * m - 1) * s[m - 1] - (m - 2) * s[m - 2]) // (m + 1))
+    return [0] + s[:order]

@@ -66,6 +66,29 @@ def test_count_json_tables(tmp_path, big_files, capsys):
     assert tables["C<avoid:1243,2341><contain:>"] == [0, 1, 2, 6, 21, 73, 245]
 
 
+def test_count_prints_counts_beyond_the_int_string_limit(tmp_path, capsys):
+    from reference_systems import separable_counts
+
+    # c_900 of the separable closure has 690 digits, past a limit of 640
+    system = ps.substitution_closed_spec(ps.simple_set([]))
+    spec_path = tmp_path / "separable.json"
+    spec_path.write_text(jsonio.dumps_system(system))
+    tables_path = tmp_path / "tables.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run(
+            capsys, "count", "--spec", str(spec_path), "-N", "900", "--json", str(tables_path)
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    want = separable_counts(900)
+    assert out.splitlines()[-1] == f"900\t{want[900]}"
+    tables = json.loads(tables_path.read_text())
+    assert tables[jsonio.restriction_key(system.root)] == want
+
+
 def test_sample_output(tmp_path, big_files, capsys):
     basis, simples = big_files
     spec_path = tmp_path / "spec.json"

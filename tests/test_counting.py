@@ -1,9 +1,14 @@
 import hashlib
 import json
+import math
+import operator
+import sys
 
 import pytest
+from reference_systems import separable_counts
 
 import permspec as ps
+from permspec import counting
 from permspec.counting import convolve
 from permspec.errors import NonDisjointSystemError
 
@@ -121,23 +126,105 @@ def test_count_tables_are_pinned(big_spec, five_root_spec, sep_subclass_spec):
 
 
 def test_equal_prefixes_share_one_series(big_spec):
-    tables = ps.build_tables(big_spec, 20)
-    counts = tables.counts
-    keys = [big_spec.root] + [k for k in big_spec.equations if k != big_spec.root]
-    by_prefix = {}
-    for key, (total, has_one, terms) in zip(keys, tables.plan):
-        for t, (weight, _, rows, _, _) in zip(big_spec.equations[key].terms, terms):
-            assert rows[0] is counts[t.children[0]] and weight is rows[-1]
-            for j in range(1, len(rows)):
-                assert rows[j] == convolve(rows[j - 1], counts[t.children[j]], 20)
-                by_prefix.setdefault(t.children[: j + 1], []).append(rows[j])
-        for n in range(21):
-            atom = int(has_one and n == 1)
-            assert total[n] == atom + sum(term[0][n] for term in terms)
-    # one list per distinct ordered child prefix, shared by every term
-    assert all(all(s is lists[0] for s in lists) for lists in by_prefix.values())
-    assert sum(len(lists) for lists in by_prefix.values()) == 40
-    assert len({id(s) for lists in by_prefix.values() for s in lists}) == len(by_prefix) == 18
+    # the separable closure's two products are tiled from size 255 on
+    separable = ps.substitution_closed_spec(ps.simple_set([]))
+    for spec, order, uses, distinct in ((big_spec, 20, 40, 18), (separable, 300, 4, 2)):
+        tables = ps.build_tables(spec, order)
+        counts = tables.counts
+        keys = [spec.root] + [k for k in spec.equations if k != spec.root]
+        by_prefix = {}
+        for key, (total, has_one, terms) in zip(keys, tables.plan):
+            for t, (weight, _, rows, _, _) in zip(spec.equations[key].terms, terms):
+                assert rows[0] is counts[t.children[0]] and weight is rows[-1]
+                for j in range(1, len(rows)):
+                    assert rows[j] == convolve(rows[j - 1], counts[t.children[j]], order)
+                    by_prefix.setdefault(t.children[: j + 1], []).append(rows[j])
+            for n in range(order + 1):
+                atom = int(has_one and n == 1)
+                assert total[n] == atom + sum(term[0][n] for term in terms)
+        # one list per distinct ordered child prefix, shared by every term
+        assert all(all(s is lists[0] for s in lists) for lists in by_prefix.values())
+        assert sum(len(lists) for lists in by_prefix.values()) == uses
+        ids = {id(s) for lists in by_prefix.values() for s in lists}
+        assert len(ids) == len(by_prefix) == distinct
+
+
+def schoolbook_coefficients(spec, order):
+    """The sweep without tiles: each term's prefix products, child by child,
+    as one full dot product per size."""
+    counts = {lhs: [0] * (order + 1) for lhs in spec.equations}
+    terms = [(lhs, t) for lhs, eq in spec.equations.items() for t in eq.terms]
+    rows = [[counts[t.children[0]]] + [[0] * (order + 1) for _ in t.children[1:]]
+            for _, t in terms]
+    mul = operator.mul
+    for n in range(1, order + 1):
+        for (_, t), row in zip(terms, rows):
+            for j, kid in enumerate(t.children[1:], 1):
+                row[j][n] = sum(map(mul, row[j - 1][n - 1 : 0 : -1], counts[kid][1:n]))
+        for lhs, eq in spec.equations.items():
+            counts[lhs][n] = int(eq.has_one and n == 1)
+        for (lhs, _), row in zip(terms, rows):
+            counts[lhs][n] += row[-1][n]
+    return counts
+
+
+def tiled_products(spec, monkeypatch):
+    """(tiled, all) distinct products of the spec's sweep, as the sweep
+    chose them at size 255."""
+    tiled = set()
+    add_tiles = counting._add_tiles
+
+    def spy(tiles, left, right, *rest):
+        tiled.add((id(left), id(right)))
+        add_tiles(tiles, left, right, *rest)
+
+    monkeypatch.setattr(counting, "_add_tiles", spy)
+    _, plan = counting._solve(spec, 2 * counting._EDGE)
+    monkeypatch.undo()
+    products = {
+        (id(rows[j - 1]), id(kids[j]))
+        for _, _, terms in plan
+        for _, _, rows, kids, _ in terms
+        for j in range(1, len(rows))
+    }
+    assert tiled <= products
+    return len(tiled), len(products)
+
+
+def test_tile_boundaries_match_the_schroder_recurrence(monkeypatch):
+    # tiles of side 128 start at size 256, of side 256 at 512
+    spec = ps.substitution_closed_spec(ps.simple_set([]))
+    assert tiled_products(spec, monkeypatch) == (2, 2)
+    for order in (254, 255, 256, 257, 511, 512, 513, 700):
+        assert ps.class_counts(spec, order) == separable_counts(order), order
+
+
+def test_catalan_to_600(av132_spec):
+    catalan = [math.comb(2 * n, n) // (n + 1) for n in range(1, 601)]
+    assert ps.class_counts(av132_spec, 600) == [0] + catalan
+
+
+def test_tiled_and_schoolbook_products_match_the_schoolbook_sweep(
+    five_root_spec, sep_subclass_spec, monkeypatch
+):
+    # every five-root product has a factor of at most 26 bits at size 600;
+    # Av(2413,3142,2143) tiles one product of four
+    for spec, split in ((five_root_spec, (0, 20)), (sep_subclass_spec, (1, 4))):
+        assert tiled_products(spec, monkeypatch) == split
+        assert ps.coefficients(spec, 600) == schoolbook_coefficients(spec, 600)
+
+
+def test_counts_beyond_the_int_string_limit():
+    # c_900 of the separable closure has 690 digits
+    want = separable_counts(900)
+    spec = ps.substitution_closed_spec(ps.simple_set([]))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = ps.class_counts(spec, 900)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
 
 
 def test_substitution_closed_spec_shapes():

@@ -184,6 +184,29 @@ def test_pinned_draws_at_benchmark_sizes(five_root_spec, big_spec):
     assert got == PINNED_DRAW_DIGESTS
 
 
+# SHA-256 of the draws for seeds 0..19 of the separable closure at n=600,
+# recorded when every product was a full dot product at each size; its
+# two products are tiled from size 255 on
+PINNED_SEPARABLE_600 = "984448e7b83105d38bfe14e73c95602de2e56446cfc84a5590bfc1c274ad21b2"
+
+
+@pytest.fixture(scope="module")
+def separable_600():
+    return ps.build_tables(ps.substitution_closed_spec(ps.simple_set([])), 600)
+
+
+def test_pinned_draws_on_tiled_tables(separable_600):
+    draws = [str(ps.sample(separable_600, 600, random.Random(seed))) for seed in range(20)]
+    assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == PINNED_SEPARABLE_600
+
+
+def test_rank_inverts_unrank_on_tiled_tables(separable_600):
+    count = separable_600.counts[separable_600.system.root][600]
+    for k in range(50):
+        i = (count - 1) * k // 49
+        assert ps.rank(separable_600, ps.unrank(separable_600, 600, i)) == i
+
+
 @pytest.fixture(scope="module")
 def ranked_classes(av132_spec, av132_basis, big_spec, big_basis, five_root_spec):
     """(tables to 8, the class's basis for the oracle) per gate class."""
