@@ -10,7 +10,6 @@ error is one line on standard error.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import random
 import sys
@@ -191,25 +190,23 @@ def _cmd_count(args) -> int:
     system = _read_system(args.spec)
     tables = _tabulate(coefficients, system, args.N)
     counts = tables[system.root]
-    for n in range(1, args.N + 1):
-        print(f"{n}\t{_digits(counts[n])}")
-    if args.json:
-        # json.dump's layout at indent=2 with sorted keys; json formats ints
-        # through str, so every count is written by _digits
-        rows = sorted((jsonio.restriction_key(r), arr) for r, arr in tables.items())
-        body = ",\n".join(
-            f"  {json.dumps(key)}: [\n    " + ",\n    ".join(map(_digits, arr)) + "\n  ]"
-            for key, arr in rows
-        )
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write("{\n" + body + "\n}\n")
+    # counts of any size are exact: lift CPython's int-to-str digit limit
+    # (3.10.7 on) while they are written
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for n in range(1, args.N + 1):
+            print(f"{n}\t{counts[n]}")
+        if args.json:
+            obj = {jsonio.restriction_key(r): arr for r, arr in tables.items()}
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
-
-
-def _digits(count: int) -> str:
-    """The decimal digits of a count of any size: str of an int refuses
-    more than sys.get_int_max_str_digits() digits, a Decimal's str does not."""
-    return str(decimal.Decimal(count))
 
 
 def _cmd_sample(args) -> int:

@@ -104,13 +104,6 @@ def _solve(
         plan.append((counts[key], eq.has_one, tuple(terms)))
     mul = operator.mul
     full, tiled = steps, []
-    # every decimal sum and product is exact or raises
-    context = decimal.Context(
-        prec=decimal.MAX_PREC,
-        Emax=decimal.MAX_EMAX,
-        Emin=decimal.MIN_EMIN,
-        traps=[decimal.Inexact, decimal.Rounded],
-    )
     for n in range(1, order + 1):
         for series, left, right in full:
             series[n] = sum(map(mul, left[n - 1 : 0 : -1], right[1:n]))
@@ -129,7 +122,7 @@ def _solve(
             tiled = [(*s, [0] * (order + 1)) for s, big in zip(steps, large) if big]
         if n < order and (n + 1) % _EDGE == 0:
             for _, left, right, tiles in tiled:
-                _add_tiles(tiles, left, right, n + 1, order, context)
+                _add_tiles(tiles, left, right, n + 1, order)
     for lhs, arr in counts.items():
         if arr[0] != 0 or arr[1] not in (0, 1):
             raise AssertionError(f"count table for {lhs} violates c0=0, c1<=1")
@@ -139,6 +132,13 @@ def _solve(
 # Pairs (i, n - i) with i or n - i below the edge are summed at size n;
 # the others lie in the tiles, of side edge * 2^k.
 _EDGE = 128
+# Every decimal sum and product of the tiles is exact or raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded],
+)
 
 
 def _has_large(series: list[int]) -> bool:
@@ -147,12 +147,7 @@ def _has_large(series: list[int]) -> bool:
 
 
 def _add_tiles(
-    tiles: list,
-    left: list[int],
-    right: list[int],
-    start: int,
-    order: int,
-    context: decimal.Context,
+    tiles: list, left: list[int], right: list[int], start: int, order: int
 ) -> None:
     """Add into tiles[start..order] the tiles of left * right at (a, b) with
     a + b = start, cut to the pairs whose sum is at most the order."""
@@ -161,38 +156,52 @@ def _add_tiles(
         for a, b in {(side, start - side), (start - side, side)}:  # diagonal once
             l_cut = left[a : min(a + side, order + 1 - b)]
             r_cut = right[b : min(b + side, order + 1 - a)]
-            _add_tile(tiles, l_cut, r_cut, start, order, context)
+            _add_tile(tiles, l_cut, r_cut, start, order)
         side *= 2
 
 
 def _add_tile(
-    tiles: list,
-    left: list[int],
-    right: list[int],
-    start: int,
-    order: int,
-    context: decimal.Context,
+    tiles: list, left: list[int], right: list[int], start: int, order: int
 ) -> None:
     """Add slot k of the packed product left * right into tiles[start + k],
-    up to the order; its strings and packs are freed on return."""
+    up to the order."""
     # a slot sums at most len(left) products, each below 2^bits
     bits = max(map(int.bit_length, left)) + max(map(int.bit_length, right))
     width = (bits + len(left).bit_length()) * 30103 // 100000 + 1  # 10^width > slot
-    digits = str(
-        context.multiply(_pack(left, width, context), _pack(right, width, context))
+    packed = _EXACT.multiply(_pack(left, width), _pack(right, width))
+    count = len(left) + len(right) - 1
+    if start + count > order + 1:
+        count = order + 1 - start
+        packed = _split(packed, width * count)[0]
+    # halve at slot boundaries, never through one string of every digit
+    pieces = [(packed, start, count)]
+    while pieces:
+        packed, k, count = pieces.pop()
+        if count == 1:
+            tiles[k] = _EXACT.add(tiles[k], packed)
+        else:
+            half = count // 2
+            low, high = _split(packed, width * half)
+            pieces += [(high, k + half, count - half), (low, k, half)]
+
+
+def _split(
+    packed: decimal.Decimal, digits: int
+) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """packed mod 10^digits and packed // 10^digits, exactly."""
+    high = _EXACT.scaleb(packed, -digits).to_integral_value(
+        decimal.ROUND_DOWN, _EXACT
     )
-    for k, end in zip(range(start, order + 1), range(len(digits), 0, -width)):
-        slot = decimal.Decimal(digits[max(end - width, 0) : end])
-        tiles[k] = context.add(tiles[k], slot)
+    return _EXACT.subtract(packed, _EXACT.scaleb(high, digits)), high
 
 
-def _pack(window: list[int], width: int, context: decimal.Context) -> decimal.Decimal:
+def _pack(window: list[int], width: int) -> decimal.Decimal:
     """sum(window[k] * 10^(width * k)), summed pairwise with exact shifts."""
     terms = [decimal.Decimal(x) for x in window]
     while len(terms) > 1:
         odd = terms[-1:] if len(terms) % 2 else []
         terms = [
-            context.add(low, context.scaleb(high, width))
+            _EXACT.add(low, _EXACT.scaleb(high, width))
             for low, high in zip(terms[::2], terms[1::2])
         ] + odd
         width *= 2

@@ -214,6 +214,10 @@ def test_tiled_and_schoolbook_products_match_the_schoolbook_sweep(
         assert ps.coefficients(spec, 600) == schoolbook_coefficients(spec, 600)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="no int-to-str digit limit before CPython 3.10.7",
+)
 def test_counts_beyond_the_int_string_limit():
     # c_900 of the separable closure has 690 digits
     want = separable_counts(900)
