@@ -54,7 +54,6 @@ from .restrictions import (
     is_empty_sufficient,
     restriction,
     subset_sufficient,
-    term,
 )
 from .sampler import (
     build_tables,

@@ -18,7 +18,7 @@ from . import jsonio
 from .counting import coefficients
 from .disambiguate import ambiguous_system, specification
 from .errors import InvalidInputError, PermspecError
-from .oracle import audit_specification, enumerate_class, simples_in_class
+from .oracle import _simples_certified, audit_specification, enumerate_class, simples_in_class
 from .perms import sort_key
 from .sampler import build_tables, heatmap, sample
 from .system import basis_of, empty_restrictions, simple_set
@@ -135,11 +135,11 @@ def _load_inputs(args):
 
 def _simples_up_to(basis, bound: int):
     """The class's simple permutations up to the bound, with a warning when
-    one has exactly that size: larger ones may then exist."""
+    they do not certify that no larger one exists."""
     found = simples_in_class(basis.patterns, bound)
-    if any(len(p) == bound for p in found):
+    if not _simples_certified(found, bound):
         print(
-            f"warning: a simple permutation of size {bound} exists; "
+            f"warning: the simples up to size {bound} do not rule out larger ones; "
             "the bound may be too small to exhaust the class's simples",
             file=sys.stderr,
         )

@@ -111,32 +111,26 @@ def disambiguate(eq: Equation) -> Equation:
         if len(group) == 1:
             out.extend(group)
         else:
-            out.extend(_group_parts(tuple(group)))
+            out.extend(_disambiguate_group(tuple(group)))
     return Equation(eq.lhs, eq.has_one, tuple(out), disjoint=True)
 
 
 @lru_cache(maxsize=1 << 10)
-def _group_parts(group: tuple[RestrictionTerm, ...]) -> tuple[RestrictionTerm, ...]:
-    return tuple(_disambiguate_group(list(group)))
-
-
-def _disambiguate_group(group: list[RestrictionTerm]) -> list[RestrictionTerm]:
+def _disambiguate_group(group: tuple[RestrictionTerm, ...]) -> tuple[RestrictionTerm, ...]:
     k = len(group)
     complements = [complement_term(t) for t in group]
-    out: list[RestrictionTerm] = []
-    seen: set[RestrictionTerm] = set()
-    for size in range(1, k + 1):
-        for chosen in itertools.combinations(range(k), size):
-            parts = _slice_terms(group, complements, set(chosen))
-            for t in parts:
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-    return out
+    return tuple(
+        dict.fromkeys(
+            t
+            for size in range(1, k + 1)
+            for chosen in itertools.combinations(range(k), size)
+            for t in _slice_terms(group, complements, set(chosen))
+        )
+    )
 
 
 def _slice_terms(
-    group: list[RestrictionTerm],
+    group: tuple[RestrictionTerm, ...],
     complements: list[tuple[RestrictionTerm, ...]],
     chosen: set[int],
 ) -> list[RestrictionTerm]:
@@ -154,24 +148,17 @@ def _slice_terms(
     for j in range(len(group)):
         if j in chosen:
             continue
-        slice_terms = _dedupe(
-            [
+        slice_terms = list(
+            dict.fromkeys(
                 intersect_terms(s, c)
                 for s in slice_terms
                 for c in complements[j]
                 if not terms_meet_provably_empty(s, c)
-            ]
+            )
         )
         if not slice_terms:
             return []
     return slice_terms
-
-
-def _dedupe(terms: list[RestrictionTerm]) -> list[RestrictionTerm]:
-    seen: dict[RestrictionTerm, None] = {}
-    for t in terms:
-        seen.setdefault(t)
-    return list(seen)
 
 
 def ambiguous_system(basis: Basis, simples: SimpleSet) -> EquationSystem:

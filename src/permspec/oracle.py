@@ -100,11 +100,18 @@ def simples_in_class(patterns: Sequence[Permutation], maxlen: int) -> set[Permut
     """Simple permutations of the class up to the given size.
 
     Whether the class has any larger simple permutations is not decided here;
-    the caller asserts the bound is big enough (a hit at exactly maxlen is a
-    warning sign).
+    `_simples_certified` tells when the found set is all of them.
     """
     members = class_members(patterns, maxlen)
     return {p for n in range(4, maxlen + 1) for p in members[n] if is_simple(p)}
+
+
+def _simples_certified(simples: Iterable[Permutation], maxlen: int) -> bool:
+    """Whether a class's simples up to maxlen are all of them: a simple of
+    size n contains one of size n-1 or n-2, counting 1, 12 and 21 (Schmerl &
+    Trotter 1993), and none has size 3, so a bound of at least 4 with none
+    of size maxlen-1 or maxlen rules out every larger one."""
+    return maxlen >= 4 and all(len(s) < maxlen - 1 for s in simples)
 
 
 def closure_members(simples: Iterable[Permutation], nmax: int) -> dict[int, list[Permutation]]:

@@ -269,11 +269,13 @@ def _split(values: tuple[int, ...], pos: int, size: int, offset: int) -> tuple[P
 
     The block is a window of the permutation's values: its entries are
     values[pos : pos + size] and they are offset + 1 .. offset + size.
-    Returns the root and the children's windows (pos, size, offset).  The root is 12 (21) when some proper prefix holds the block's
-    lowest (highest) values; the shortest such prefix is the first child,
-    which is then plus- (minus-) indecomposable.  Otherwise the quotient is
-    simple, so every proper interval lies inside one part, and the part
-    starting at a position is the longest proper interval from there.
+    Returns the root and the children's windows (pos, size, offset).  The
+    root is 12 (21) when some proper prefix holds the block's lowest
+    (highest) values; the shortest such prefix is the first child, which is
+    then plus- (minus-) indecomposable.  Otherwise the quotient by the
+    maximal intervals is simple (Albert & Atkinson 2005), so every proper
+    interval lies inside one part, and the part starting at a position is
+    the longest proper interval from there.
     """
     lo, hi = offset + size + 1, offset
     for j in range(1, size):
@@ -302,11 +304,7 @@ def _split(values: tuple[int, ...], pos: int, size: int, offset: int) -> tuple[P
                 stop, low = j + 1, lo
         parts.append((i, stop - i, low - 1))
         i = stop
-    skeleton = normalize([low for _, _, low in parts])
-    if not is_simple(skeleton):  # impossible for a valid input permutation
-        block = normalize(values[pos:end])
-        raise DecompositionError(f"quotient of {block} by maximal intervals is not simple")
-    return skeleton, tuple(parts)
+    return normalize([low for _, _, low in parts]), tuple(parts)
 
 
 def decompose(p: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:

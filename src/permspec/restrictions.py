@@ -196,10 +196,6 @@ def root_rank(root: Permutation):
     return (2, sort_key(root))
 
 
-def term(root: Permutation, children) -> RestrictionTerm:
-    return RestrictionTerm(root, tuple(children))
-
-
 def term_provably_empty(t: RestrictionTerm) -> bool:
     """A term is empty iff some child is; this checks the provable direction."""
     return any(provably_empty(c) for c in t.children)
@@ -268,8 +264,4 @@ class Equation:
         return f"{self.lhs} = {sep.join(parts) if parts else 'EMPTY'}"
 
     def rhs_restrictions(self) -> tuple[Restriction, ...]:
-        seen: dict[Restriction, None] = {}
-        for t in self.terms:
-            for c in t.children:
-                seen.setdefault(c)
-        return tuple(seen)
+        return tuple(dict.fromkeys(c for t in self.terms for c in t.children))

@@ -241,25 +241,17 @@ def _parse(tables: SamplingTables, sigma: Permutation) -> tuple[list, list[list[
     return tree, derivations
 
 
-def derivation_probability(
-    tables: SamplingTables, sigma: Permutation, key: Restriction | None = None
-) -> Fraction:
-    """Exact probability that sampling at |sigma| from key (the class by
-    default) outputs sigma: its number of derivations over c_n.
+def derivation_probability(tables: SamplingTables, sigma: Permutation) -> Fraction:
+    """Exact probability that sampling at |sigma| outputs sigma: its number
+    of derivations from the class's equation over c_n.
 
     A disjoint system gives every member exactly one derivation, so a uniform
     sampler returns 1/c_n for each; a permutation with none is refused.
     """
-    key = tables.system.root if key is None else key
-    counts = tables.counts.get(key)
-    if counts is None:
-        raise InvalidInputError(f"{key} has no equation in the system")
-    # the plan holds the very count lists, so they identify key's number
-    number = next(i for i, (total, _, _) in enumerate(tables.plan) if total is counts)
-    d = _parse(tables, sigma)[1][0][number]
+    d = _parse(tables, sigma)[1][0][0]
     if d == 0:
-        raise SampleError(f"{sigma} is not derivable from {key}")
-    return Fraction(d, counts[len(sigma)])
+        raise SampleError(f"{sigma} is not derivable from {tables.system.root}")
+    return Fraction(d, tables.plan[0][0][len(sigma)])
 
 
 def rank(tables: SamplingTables, sigma: Permutation) -> int:

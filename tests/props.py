@@ -390,7 +390,7 @@ def check_group_expansion_cover(nmax=7, simples=()):
     t2 = RestrictionTerm(
         ps.PLUS, (restriction("+", [perm("21")]), restriction("", [perm("2143")]))
     )
-    expanded = _disambiguate_group([t1, t2])
+    expanded = _disambiguate_group((t1, t2))
     for n in range(2, nmax + 1):
         for root, bucket in den.table[n].items():
             for p, kids in bucket:

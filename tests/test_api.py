@@ -21,7 +21,7 @@ PUBLIC = [
     "perms", "quadratic_residual", "rank", "restriction", "restrictions",
     "sample", "sample_many", "sampler", "simple_set", "simples_in_class",
     "specification", "subset_sufficient", "substitute",
-    "substitution_closed_spec", "system", "term", "unrank",
+    "substitution_closed_spec", "system", "unrank",
 ]
 
 

@@ -210,6 +210,28 @@ def test_simples_bound_warning(tmp_path, capsys):
     assert code == 0 and out.strip() == "3 1 4 2" and oracle_err == err
 
 
+@pytest.mark.parametrize(
+    "basis_text, bound, warns",
+    [
+        # simples at sizes 4, 6, 8 and 10 only: a bound between two of them
+        # misses the next without any simple of the bound's own size
+        ("321\n24153\n31524\n", 7, True),
+        ("321\n24153\n31524\n", 9, True),
+        (BIG_BASIS, 8, False),
+        ("2413\n3142\n21543\n12453\n", 4, False),
+    ],
+)
+def test_simples_bound_warns_unless_certified(tmp_path, capsys, basis_text, bound, warns):
+    basis = tmp_path / "basis.txt"
+    basis.write_text(basis_text)
+    code, _, err = run(
+        capsys, "specify", "--basis", str(basis), "--simples-bound", str(bound),
+        "--out", str(tmp_path / "spec.json"),
+    )
+    assert code == 0
+    assert ("may be too small" in err) == warns, err
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     basis = tmp_path / "basis.txt"
     basis.write_text("1\n")

@@ -261,6 +261,17 @@ def test_decompose_large_inflation_of_a_simple():
     assert elapsed < 1.0, f"decompose of size 1000 took {elapsed:.2f} s"
 
 
+def test_decompose_large_simple():
+    # the parallel alternation 2 4 ... 1000 1 3 ... 999 is simple: every
+    # maximal proper interval is a single point
+    p = ps.Permutation(tuple(range(2, 1001, 2)) + tuple(range(1, 1000, 2)))
+    start = time.perf_counter()
+    root, children = ps.decompose(p)
+    elapsed = time.perf_counter() - start
+    assert (root, children) == (p, (ps.ONE,) * 1000)
+    assert elapsed < 1.0, f"decompose of size 1000 took {elapsed:.2f} s"
+
+
 def test_decompose_rejects_small():
     with pytest.raises(DecompositionError):
         ps.decompose(P("1"))
@@ -332,6 +343,10 @@ def test_decomposition_tree_matches_recursive_decompose():
         tree = decomposition_tree(p)
         assert nested(tree) == reference_tree(p), p
         assert len(tree) == 1 + sum(len(root) for _, root, _ in tree if root is not None)
+        # a prime node's root is the quotient by its maximal intervals:
+        # simple by theorem, which the split itself does not re-check
+        roots = [root for _, root, _ in tree if root not in (None, ps.PLUS, ps.MINUS)]
+        assert all(ps.is_simple(root) for root in roots), p
 
 
 def test_decomposition_tree_of_a_deep_chain():

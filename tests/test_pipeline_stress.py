@@ -16,6 +16,7 @@ import pytest
 
 import permspec as ps
 from permspec.errors import PermspecError
+from permspec.oracle import _simples_certified
 
 P = ps.perm
 
@@ -24,9 +25,7 @@ def certified_simples(patterns, bound=7):
     """Simple permutations up to the bound, or None when the top two sizes
     are not both empty (completeness cannot be certified)."""
     found = ps.simples_in_class(patterns, bound)
-    if any(len(s) >= bound - 1 for s in found):
-        return None
-    return ps.simple_set(found)
+    return ps.simple_set(found) if _simples_certified(found, bound) else None
 
 
 @pytest.fixture(scope="module")

@@ -99,13 +99,6 @@ def test_probability_beyond_the_tables_is_refused(av132_tables):
         ps.derivation_probability(av132_tables, ps.Permutation(tuple(range(1, 10))))
 
 
-def test_probability_from_a_restriction_without_equation_is_refused(av132_tables):
-    key = ps.restriction("", [P("3142")])
-    assert key not in av132_tables.system.equations
-    with pytest.raises(InvalidInputError, match="has no equation"):
-        ps.derivation_probability(av132_tables, P("1"), key)
-
-
 def test_exact_uniformity_of_large_draws(big_spec):
     tables = ps.build_tables(big_spec, 500)
     want = Fraction(1, tables.counts[big_spec.root][500])
