@@ -11,17 +11,28 @@ of them to split sizes among children.  Each distinct prefix (ordered child
 tuple) is one series, shared by every term that starts with it (the
 recursive method's binary products, Flajolet, Zimmermann & Van Cutsem 1994).
 
-Each product s = l * r is relaxed (van der Hoeven 2002): the pairs
-l[i] * r[n - i] with i or n - i below T = 128 are summed at size n (all of
-them below 2T); every other pair lies in one square tile of side m = T * 2^k
-at (m, b) or (a, m), a and b multiples of m, added into s[a + b ..] at size
-a + b - 1, once its inputs are final.  A tile is one exact `decimal` product
-of its two windows, each packed with one zero-padded slot per coefficient:
-libmpdec multiplies large operands by number-theoretic transform, Python
-ints by Karatsuba.  A slot holds the bits of both factors, so packing pays
-only when both grow exponentially: a product is tiled when both factors
-have a coefficient of at least T bits at size 2T - 1, and otherwise keeps
-one full dot product per size, as every product does below that size.
+Each product s = l * r takes one of three forms.  Below size 2T, T = 128,
+it is one full dot product per size.  At size 2T it is tiled when both
+factors have a coefficient of at least T bits below 2T, and put in
+difference form otherwise.
+
+Tiled, it is relaxed (van der Hoeven 2002): the pairs l[i] * r[n - i] with
+i or n - i below T are summed at size n; every other pair lies in one
+square tile of side m = T * 2^k at (m, b) or (a, m), a and b multiples of
+m, added into s[a + b ..] at size a + b - 1, once its inputs are final.  A
+tile is one exact `decimal` product of its two windows, each packed with
+one zero-padded slot per coefficient: libmpdec multiplies large operands by
+number-theoretic transform, Python ints by Karatsuba.  A slot holds the
+bits of both factors, so packing pays only when both grow exponentially.
+
+In difference form it rests on the identity a * b = (a * q) / (1 - z)^d with
+q = (1 - z)^d * b, which holds for every pair of series.  The factor b and
+the order d <= 4 are the ones whose q has the fewest nonzero coefficients
+below 2T; a factor with a polynomial tail, such as a 0/1 series, has a q
+with a few.  At size n, (a * q)[n] is summed over q's nonzero positions
+only, and d running sums, one big addition each, turn it into s[n].  Once
+b[n] is final, q[n] joins the nonzero positions if it is not 0, so a factor
+that leaves its early shape costs more terms, never a wrong count.
 
 The sweep reads its series from the draw plan, which it returns with the
 counts.  The plan numbers the equations from 0 (the root) and holds, per
@@ -37,6 +48,7 @@ looks up no restriction; all of them are read-only once the sweep returns.
 from __future__ import annotations
 
 import decimal
+import math
 import operator
 
 from .errors import InvalidInputError, NonDisjointSystemError
@@ -103,8 +115,18 @@ def _solve(
             )
         plan.append((counts[key], eq.has_one, tuple(terms)))
     mul = operator.mul
-    full, tiled = steps, []
+    full, tiled, differenced = steps, [], []
     for n in range(1, order + 1):
+        if n == 2 * _EDGE:
+            for series, left, right in full:
+                if _has_large(left) and _has_large(right):
+                    tiled.append((series, left, right, [0] * (order + 1)))
+                else:
+                    differenced.append(_difference_form(series, left, right, n))
+            full = []
+        if n % _EDGE == 0:
+            for _, left, right, tiles in tiled:
+                _add_tiles(tiles, left, right, n, order)
         for series, left, right in full:
             series[n] = sum(map(mul, left[n - 1 : 0 : -1], right[1:n]))
         for series, left, right, tiles in tiled:
@@ -114,15 +136,10 @@ def _solve(
                 + sum(map(mul, left[n - 1 : n - _EDGE : -1], right[1:_EDGE]))
             )
             tiles[n] = 0
+        for product in differenced:
+            _difference_step(product, n)
         for total, has_one, terms in plan:
             total[n] = (1 if has_one and n == 1 else 0) + sum(t[0][n] for t in terms)
-        if n == 2 * _EDGE - 1:
-            large = [_has_large(left) and _has_large(right) for _, left, right in steps]
-            full = [s for s, big in zip(steps, large) if not big]
-            tiled = [(*s, [0] * (order + 1)) for s, big in zip(steps, large) if big]
-        if n < order and (n + 1) % _EDGE == 0:
-            for _, left, right, tiles in tiled:
-                _add_tiles(tiles, left, right, n + 1, order)
     for lhs, arr in counts.items():
         if arr[0] != 0 or arr[1] not in (0, 1):
             raise AssertionError(f"count table for {lhs} violates c0=0, c1<=1")
@@ -144,6 +161,60 @@ _EXACT = decimal.Context(
 def _has_large(series: list[int]) -> bool:
     """Whether a coefficient up to size 2 * edge - 1 has at least edge bits."""
     return max(map(int.bit_length, series[: 2 * _EDGE])) >= _EDGE
+
+
+# The largest order d of the difference form's (1 - z)^d.
+_DEGREE = 4
+# One product in difference form: (series, other factor, factor, the
+# coefficients of (1 - z)^d from z^d down to 1, q's nonzero terms
+# (position, value) so far, the d running sums at the last size).
+Differenced = tuple[list[int], list[int], list[int], list[int], list, list[int]]
+
+
+def _difference_form(
+    series: list[int], left: list[int], right: list[int], n: int
+) -> Differenced:
+    """The difference form of series = left * right from size n on, every
+    coefficient below n being final: the factor b and the order d whose
+    q = (1 - z)^d * b has the fewest nonzero coefficients below n, ties
+    going to the left factor, then to the smaller d."""
+    best = None
+    for factor, other in ((left, right), (right, left)):
+        q = factor[:n]
+        for d in range(_DEGREE + 1):
+            nonzero = len(q) - q.count(0)
+            if best is None or nonzero < best[0]:
+                best = nonzero, d, factor, other, q
+            q = _difference(q)
+    _, d, factor, other, q = best
+    # the running sums hold (1 - z)^(d - k) * series at n - 1, k = 1..d
+    sums, window = [], series[n - d : n]
+    for _ in range(d):
+        sums.append(window[-1])
+        window = _difference(window)
+    sums.reverse()
+    signs = [(-1) ** k * math.comb(d, k) for k in range(d, -1, -1)]
+    # q[n - 1] is appended by the first step
+    terms = [(j, x) for j, x in enumerate(q[: n - 1]) if x]
+    return series, other, factor, signs, terms, sums
+
+
+def _difference(series: list[int]) -> list[int]:
+    """(1 - z) * series, cut to the length of series."""
+    return [y - x for x, y in zip([0] + series, series)]
+
+
+def _difference_step(product: Differenced, n: int) -> None:
+    """series[n] = (other * q)[n] summed d times, once q[n - 1] is appended
+    if it is not 0; both factors are 0 at size 0 and final below n > d."""
+    series, other, factor, signs, terms, sums = product
+    x = sum(map(operator.mul, signs, factor[n - len(signs) : n]))
+    if x:
+        terms.append((n - 1, x))
+    total = sum(x * other[n - j] for j, x in terms)
+    for k, partial in enumerate(sums):
+        total = sums[k] = partial + total
+    series[n] = total
 
 
 def _add_tiles(

@@ -191,7 +191,9 @@ def _unrank(plan: tuple[PlanEquation, ...], n: int, rank: int) -> Permutation:
                 values[pos] = offsets[c] + 1
             else:
                 push((kids[c], sizes[c], pos, offsets[c], ranks[c]))
-    return Permutation(values)
+    # every position and every value is written once, so the check that
+    # Permutation(values) would make (a sort of the n values) is skipped
+    return tuple.__new__(Permutation, values)
 
 
 def sample_many(tables: SamplingTables, n: int, count: int, rng: IntegerSource) -> list[Permutation]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import operator
+import random
 import sys
 
 import pytest
@@ -125,6 +126,20 @@ def test_count_tables_are_pinned(big_spec, five_root_spec, sep_subclass_spec):
     assert got == PINNED_TABLES
 
 
+# SHA-256 of every restriction's counts to size 2000, recorded when every
+# product with a small factor was still one full dot product per size
+PINNED_TABLES_2000 = {
+    "five-pattern": "f69c5825649a7bd905c45d6f1eed1d5ee40ef4072b932a594c99151af5780dcc",
+    "five-root": "6e4b3c6942e5d4572125fb5f12d72d891f98ce3a32b7a5a3d77bb8f64c8fa9cd",
+}
+
+
+def test_count_tables_to_2000_are_pinned(big_spec, five_root_spec):
+    specs = {"five-pattern": big_spec, "five-root": five_root_spec}
+    got = {name: table_digest(ps.coefficients(spec, 2000)) for name, spec in specs.items()}
+    assert got == PINNED_TABLES_2000
+
+
 def test_equal_prefixes_share_one_series(big_spec):
     # the separable closure's two products are tiled from size 255 on
     separable = ps.substitution_closed_spec(ps.simple_set([]))
@@ -168,17 +183,22 @@ def schoolbook_coefficients(spec, order):
     return counts
 
 
-def tiled_products(spec, monkeypatch):
-    """(tiled, all) distinct products of the spec's sweep, as the sweep
-    chose them at size 255."""
-    tiled = set()
-    add_tiles = counting._add_tiles
+def product_forms(spec, monkeypatch):
+    """(tiled, differenced) distinct products of the spec's sweep, as the
+    sweep chose them at size 256; every product takes one of the two."""
+    tiled, differenced = set(), set()
+    add_tiles, difference_form = counting._add_tiles, counting._difference_form
 
-    def spy(tiles, left, right, *rest):
+    def tile_spy(tiles, left, right, *rest):
         tiled.add((id(left), id(right)))
         add_tiles(tiles, left, right, *rest)
 
-    monkeypatch.setattr(counting, "_add_tiles", spy)
+    def difference_spy(series, left, right, n):
+        differenced.add((id(left), id(right)))
+        return difference_form(series, left, right, n)
+
+    monkeypatch.setattr(counting, "_add_tiles", tile_spy)
+    monkeypatch.setattr(counting, "_difference_form", difference_spy)
     _, plan = counting._solve(spec, 2 * counting._EDGE)
     monkeypatch.undo()
     products = {
@@ -187,14 +207,14 @@ def tiled_products(spec, monkeypatch):
         for _, _, rows, kids, _ in terms
         for j in range(1, len(rows))
     }
-    assert tiled <= products
-    return len(tiled), len(products)
+    assert tiled | differenced == products and not tiled & differenced
+    return len(tiled), len(differenced)
 
 
 def test_tile_boundaries_match_the_schroder_recurrence(monkeypatch):
     # tiles of side 128 start at size 256, of side 256 at 512
     spec = ps.substitution_closed_spec(ps.simple_set([]))
-    assert tiled_products(spec, monkeypatch) == (2, 2)
+    assert product_forms(spec, monkeypatch) == (2, 0)
     for order in (254, 255, 256, 257, 511, 512, 513, 700):
         assert ps.class_counts(spec, order) == separable_counts(order), order
 
@@ -205,13 +225,45 @@ def test_catalan_to_600(av132_spec):
 
 
 def test_tiled_and_schoolbook_products_match_the_schoolbook_sweep(
-    five_root_spec, sep_subclass_spec, monkeypatch
+    big_spec, five_root_spec, sep_subclass_spec, monkeypatch
 ):
-    # every five-root product has a factor of at most 26 bits at size 600;
-    # Av(2413,3142,2143) tiles one product of four
-    for spec, split in ((five_root_spec, (0, 20)), (sep_subclass_spec, (1, 4))):
-        assert tiled_products(spec, monkeypatch) == split
+    # every five-pattern and five-root product has a factor of at most 28
+    # bits at size 600; Av(2413,3142,2143) tiles one product of four
+    for spec, forms in (
+        (big_spec, (0, 18)),
+        (five_root_spec, (0, 20)),
+        (sep_subclass_spec, (1, 3)),
+    ):
+        assert product_forms(spec, monkeypatch) == forms
         assert ps.coefficients(spec, 600) == schoolbook_coefficients(spec, 600)
+
+
+def test_difference_form_follows_a_factor_that_changes_shape():
+    # a quadratic factor, bumped at 400 and restarted at 650, both after the
+    # form is chosen at 256, times a random 200-bit factor, in either order
+    order, start = 700, 2 * counting._EDGE
+    rng = random.Random(19)
+    wide = [0] + [rng.getrandbits(200) for _ in range(order)]
+    quadratic = [0] + [j * j for j in range(1, 650)]
+    quadratic += [(j - 650) ** 2 for j in range(650, order + 1)]
+    quadratic[400] += 7
+    for left, right in ((wide, quadratic), (quadratic, wide)):
+        want = [sum(left[i] * right[n - i] for i in range(1, n)) for n in range(order + 1)]
+        series = want[:start] + [0] * (order + 1 - start)
+        product = counting._difference_form(series, left, right, start)
+        _, other, factor, _, terms, sums = product
+        # (1 - z)^3 * sum(j^2 z^j) = z + z^2
+        assert factor is quadratic and other is wide and len(sums) == 3
+        assert terms == [(1, 1), (2, 1)]
+        for n in range(start, order + 1):
+            counting._difference_step(product, n)
+        assert series == want
+        # q gained the bump's and the restart's terms as sizes went by
+        q = quadratic
+        for _ in range(3):
+            q = [y - x for x, y in zip([0] + q, q)]
+        assert terms == [(j, x) for j, x in enumerate(q[:order]) if x]
+        assert {j for j, _ in terms[2:]} <= {*range(400, 404), *range(650, 654)}
 
 
 @pytest.mark.skipif(

@@ -124,6 +124,20 @@ def test_sampling_large_size_runs():
     assert len(p) == 120
 
 
+def test_draws_are_permutations(av132_spec, sep_subclass_spec, big_spec, five_root_spec):
+    # unranking builds its result without the check Permutation(values)
+    # makes, so the draws themselves must be shown to be permutations
+    av21 = ps.specification(ps.basis_of([P("21")]), ps.simple_set([]))
+    separable = ps.substitution_closed_spec(ps.simple_set([]))
+    for spec in (av21, av132_spec, sep_subclass_spec, big_spec, five_root_spec, separable):
+        tables = ps.build_tables(spec, 1000)
+        for n in (200, 1000):
+            for seed in range(3):
+                sigma = ps.sample(tables, n, random.Random(seed))
+                assert type(sigma) is ps.Permutation
+                assert sorted(sigma) == list(range(1, n + 1))
+
+
 # First draws for fixed seeds, recorded when a draw became the unranking of
 # one uniform integer; they pin the rank order (term offsets, splits scanned
 # from both ends, mixed-radix child ranks) and where the walk puts every block.
