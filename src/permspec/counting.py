@@ -11,10 +11,11 @@ of them to split sizes among children.  Each distinct prefix (ordered child
 tuple) is one series, shared by every term that starts with it (the
 recursive method's binary products, Flajolet, Zimmermann & Van Cutsem 1994).
 
-Each product s = l * r takes one of three forms.  Below size 2T, T = 128,
-it is one full dot product per size.  At size 2T it is tiled when both
-factors have a coefficient of at least T bits below 2T, and put in
-difference form otherwise.
+Each product s = l * r takes one of two forms.  It starts in difference
+form, re-fitted at each size n = 1, 2, 4, ..., 2T, T = 128, on the final
+coefficients below n.  At size 2T it is tiled instead when even its
+sparsest q (below) has more than T nonzero coefficients, as when both
+factors grow exponentially.
 
 Tiled, it is relaxed (van der Hoeven 2002): the pairs l[i] * r[n - i] with
 i or n - i below T are summed at size n; every other pair lies in one
@@ -26,13 +27,15 @@ number-theoretic transform, Python ints by Karatsuba.  A slot holds the
 bits of both factors, so packing pays only when both grow exponentially.
 
 In difference form it rests on the identity a * b = (a * q) / (1 - z)^d with
-q = (1 - z)^d * b, which holds for every pair of series.  The factor b and
-the order d <= 4 are the ones whose q has the fewest nonzero coefficients
-below 2T; a factor with a polynomial tail, such as a 0/1 series, has a q
-with a few.  At size n, (a * q)[n] is summed over q's nonzero positions
-only, and d running sums, one big addition each, turn it into s[n].  Once
-b[n] is final, q[n] joins the nonzero positions if it is not 0, so a factor
-that leaves its early shape costs more terms, never a wrong count.
+q = (1 - z)^d * b, which holds for every pair of series and every d, so a
+re-fit changes the cost, never a count.  The factor b and the order
+d <= min(4, n - 1) are the ones whose q has the fewest nonzero coefficients
+below the size n of the fit; a factor with a polynomial tail, such as a 0/1
+series, has a q with a few.  At size n, (a * q)[n] is summed over q's
+nonzero positions only, and d running sums, one big addition each, turn it
+into s[n].  Once b[n] is final, q[n] joins the nonzero positions if it is
+not 0, so a factor that leaves its early shape costs more terms, never a
+wrong count.
 
 The sweep reads its series from the draw plan, which it returns with the
 counts.  The plan numbers the equations from 0 (the root) and holds, per
@@ -115,20 +118,21 @@ def _solve(
             )
         plan.append((counts[key], eq.has_one, tuple(terms)))
     mul = operator.mul
-    full, tiled, differenced = steps, [], []
+    tiled, differenced = [], []
     for n in range(1, order + 1):
-        if n == 2 * _EDGE:
-            for series, left, right in full:
-                if _has_large(left) and _has_large(right):
-                    tiled.append((series, left, right, [0] * (order + 1)))
+        if n & (n - 1) == 0 and n <= 2 * _EDGE:
+            # re-fit every form on the final coefficients below n; at 2T,
+            # tile the products whose q keeps more than T nonzero terms
+            differenced = []
+            for series, left, right in steps:
+                form = _difference_form(series, left, right, n)
+                if n < 2 * _EDGE or len(form[4]) <= _EDGE:
+                    differenced.append(form)
                 else:
-                    differenced.append(_difference_form(series, left, right, n))
-            full = []
+                    tiled.append((series, left, right, [0] * (order + 1)))
         if n % _EDGE == 0:
             for _, left, right, tiles in tiled:
                 _add_tiles(tiles, left, right, n, order)
-        for series, left, right in full:
-            series[n] = sum(map(mul, left[n - 1 : 0 : -1], right[1:n]))
         for series, left, right, tiles in tiled:
             series[n] = (
                 int(tiles[n])
@@ -158,11 +162,6 @@ _EXACT = decimal.Context(
 )
 
 
-def _has_large(series: list[int]) -> bool:
-    """Whether a coefficient up to size 2 * edge - 1 has at least edge bits."""
-    return max(map(int.bit_length, series[: 2 * _EDGE])) >= _EDGE
-
-
 # The largest order d of the difference form's (1 - z)^d.
 _DEGREE = 4
 # One product in difference form: (series, other factor, factor, the
@@ -175,13 +174,13 @@ def _difference_form(
     series: list[int], left: list[int], right: list[int], n: int
 ) -> Differenced:
     """The difference form of series = left * right from size n on, every
-    coefficient below n being final: the factor b and the order d whose
+    coefficient below n being final: the factor b and the order d < n whose
     q = (1 - z)^d * b has the fewest nonzero coefficients below n, ties
     going to the left factor, then to the smaller d."""
     best = None
     for factor, other in ((left, right), (right, left)):
         q = factor[:n]
-        for d in range(_DEGREE + 1):
+        for d in range(min(_DEGREE, n - 1) + 1):
             nonzero = len(q) - q.count(0)
             if best is None or nonzero < best[0]:
                 best = nonzero, d, factor, other, q

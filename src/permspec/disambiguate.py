@@ -46,7 +46,6 @@ from .system import (
     add_constraints,
     closure_equation,
     distinct_roots,
-    fold,
     propagated_blocks,
     prune_terms,
 )
@@ -84,9 +83,9 @@ def eqn_for_restriction(delta: str, avoid, contain, simples: SimpleSet) -> Equat
         return Equation(lhs, False, (), disjoint=True)
     terms = closure_equation(delta, simples).terms
     for g in lhs.avoid:
-        terms = fold(terms, add_constraints, g)
+        terms = prune_terms(tuple(u for t in terms for u in add_constraints(t, g)))
     for g in lhs.contain:
-        terms = fold(terms, add_mandatory, g)
+        terms = prune_terms(tuple(u for t in terms for u in add_mandatory(t, g)))
     return Equation(lhs, not lhs.contain, terms, disjoint=distinct_roots(terms))
 
 

@@ -2,17 +2,16 @@
 simple permutations.
 
 This module holds the inputs (Basis, SimpleSet), the system container, the
-closure equations, and the rewrite that pushes a forbidden pattern into the
-children of an inflation term (add_constraints), folded over a union with
-pruning.  The worklist that assembles whole systems, ambiguous or
-disambiguated, lives in the disambiguate module.
+closure equations, the rewrite that pushes a forbidden pattern into the
+children of an inflation term (add_constraints), and the pruning of a union
+of terms (prune_terms).  The worklist that assembles whole systems,
+ambiguous or disambiguated, lives in the disambiguate module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .embeddings import all_embeddings
 from .errors import InvalidInputError, NotAntichainError, TrivialClassError
@@ -220,19 +219,6 @@ def prune_terms(terms: tuple[RestrictionTerm, ...]) -> tuple[RestrictionTerm, ..
         kept = [u for u in kept if not term_subset_sufficient(u, t)]
         kept.append(t)
     return tuple(kept)
-
-
-def fold(
-    terms: tuple[RestrictionTerm, ...],
-    rewrite: Callable[[RestrictionTerm, Permutation], tuple[RestrictionTerm, ...]],
-    g: Permutation,
-) -> tuple[RestrictionTerm, ...]:
-    """Constrain every term of a union by g through rewrite (add_constraints
-    or add_mandatory), then prune the resulting union."""
-    out: list[RestrictionTerm] = []
-    for t in terms:
-        out.extend(rewrite(t, g))
-    return prune_terms(tuple(out))
 
 
 def distinct_roots(terms) -> bool:

@@ -184,29 +184,35 @@ def schoolbook_coefficients(spec, order):
 
 
 def product_forms(spec, monkeypatch):
-    """(tiled, differenced) distinct products of the spec's sweep, as the
-    sweep chose them at size 256; every product takes one of the two."""
+    """(tiled, differenced) distinct products of the spec's sweep past size
+    2T - 1, each named by its two factors in either order; every product
+    runs one of the two forms there."""
     tiled, differenced = set(), set()
-    add_tiles, difference_form = counting._add_tiles, counting._difference_form
+    add_tiles, difference_step = counting._add_tiles, counting._difference_step
 
     def tile_spy(tiles, left, right, *rest):
-        tiled.add((id(left), id(right)))
+        tiled.add(frozenset((id(left), id(right))))
         add_tiles(tiles, left, right, *rest)
 
-    def difference_spy(series, left, right, n):
-        differenced.add((id(left), id(right)))
-        return difference_form(series, left, right, n)
+    def step_spy(product, n):
+        if n > 2 * counting._EDGE:
+            _, other, factor, *_ = product
+            differenced.add(frozenset((id(other), id(factor))))
+        difference_step(product, n)
 
     monkeypatch.setattr(counting, "_add_tiles", tile_spy)
-    monkeypatch.setattr(counting, "_difference_form", difference_spy)
-    _, plan = counting._solve(spec, 2 * counting._EDGE)
+    monkeypatch.setattr(counting, "_difference_step", step_spy)
+    _, plan = counting._solve(spec, 2 * counting._EDGE + 1)
     monkeypatch.undo()
+    rows = [rows for _, _, terms in plan for _, _, rows, _, _ in terms]
+    kids = [kids for _, _, terms in plan for _, _, _, kids, _ in terms]
     products = {
-        (id(rows[j - 1]), id(kids[j]))
-        for _, _, terms in plan
-        for _, _, rows, kids, _ in terms
-        for j in range(1, len(rows))
+        frozenset((id(r[j - 1]), id(k[j])))
+        for r, k in zip(rows, kids)
+        for j in range(1, len(r))
     }
+    # no two distinct products share their pair of factors
+    assert len(products) == len({id(r[j]) for r in rows for j in range(1, len(r))})
     assert tiled | differenced == products and not tiled & differenced
     return len(tiled), len(differenced)
 
@@ -225,17 +231,40 @@ def test_catalan_to_600(av132_spec):
 
 
 def test_tiled_and_schoolbook_products_match_the_schoolbook_sweep(
-    big_spec, five_root_spec, sep_subclass_spec, monkeypatch
+    av132_spec, big_spec, five_root_spec, sep_subclass_spec, monkeypatch
 ):
     # every five-pattern and five-root product has a factor of at most 28
-    # bits at size 600; Av(2413,3142,2143) tiles one product of four
-    for spec, forms in (
-        (big_spec, (0, 18)),
-        (five_root_spec, (0, 20)),
-        (sep_subclass_spec, (1, 3)),
+    # bits at size 600; Av(132) tiles its Catalan product, Av(2413,3142,2143)
+    # one product of four and the hard basis 60 of 143
+    hard = ps.specification(
+        ps.basis_of([P(x) for x in ("2413", "3142", "21354", "12453")]), ps.simple_set([])
+    )
+    for spec, forms, order in (
+        (big_spec, (0, 18), 600),
+        (five_root_spec, (0, 20), 600),
+        (sep_subclass_spec, (1, 3), 600),
+        (av132_spec, (1, 2), 600),
+        (hard, (60, 83), 300),
     ):
         assert product_forms(spec, monkeypatch) == forms
-        assert ps.coefficients(spec, 600) == schoolbook_coefficients(spec, 600)
+        assert ps.coefficients(spec, order) == schoolbook_coefficients(spec, order)
+
+
+def test_difference_form_orders_are_below_the_size_of_the_fit():
+    # at size 4 the factor 0, 1, 4, 5 has the sparsest difference at d = 4,
+    # whose q[3] = 5 - 4 * 4 + 6 * 1 = -5 would need the factor at size -1
+    order, start = 64, 4
+    rng = random.Random(20)
+    wide = [0] + [rng.getrandbits(100) for _ in range(order)]
+    small = [0, 1, 4, 5] + [j * j for j in range(4, order + 1)]
+    for left, right in ((wide, small), (small, wide)):
+        want = [sum(left[i] * right[n - i] for i in range(1, n)) for n in range(order + 1)]
+        series = want[:start] + [0] * (order + 1 - start)
+        product = counting._difference_form(series, left, right, start)
+        assert len(product[3]) <= start  # the coefficients of (1 - z)^d, d < 4
+        for n in range(start, order + 1):
+            counting._difference_step(product, n)
+        assert series == want
 
 
 def test_difference_form_follows_a_factor_that_changes_shape():
