@@ -7,9 +7,22 @@ evaluated in size order: every term has at least two children of positive
 valuation, so each coefficient depends only on strictly smaller ones.  The
 sweep keeps, for every term, the series of the products of its first j
 children; the last one is the term's own series, and the sampler reuses all
-of them to split sizes among children.  Each distinct prefix (ordered child
-tuple) is one series, shared by every term that starts with it (the
-recursive method's binary products, Flajolet, Zimmermann & Van Cutsem 1994).
+of them to split sizes among children (the recursive method's binary
+products, Flajolet, Zimmermann & Van Cutsem 1994).
+
+Many equations have equal series by construction, as the mirror images
+C+ = z + minus[C-, C] and C- = z + plus[C+, C] of a substitution closure.
+The sweep counts once per block of the coarsest stable partition of the
+equations (Paige & Tarjan 1987): it starts from the atom flag and splits a
+block until its equations have equal sorted multisets of terms, each term
+the sorted tuple of its children's blocks.  By induction on the size, two
+equations of one block have equal counts: at size n each is the atom plus,
+per term, a product of its children's counts below n, and the children of
+matching terms lie pairwise in one block.  So every equation of a block
+holds the block's one list, and each product is one series per distinct
+pair of factor series: a term's first product is keyed by the sorted pair
+of its first two children's blocks, each later one by the previous key and
+the next child's block.
 
 Each product s = l * r takes one of two forms.  It starts in difference
 form, re-fitted at each size n = 1, 2, 4, ..., 2T, T = 128, on the final
@@ -68,17 +81,18 @@ PlanEquation = tuple[list[int], bool, tuple[PlanTerm, ...]]
 
 
 def coefficients(spec: EquationSystem, order: int) -> dict[Restriction, list[int]]:
-    """Exact counts c[0..order] for every restriction of the system."""
+    """Exact counts c[0..order] for every restriction of the system, one
+    list of its own per restriction."""
     if order < 1:
         raise InvalidInputError("order must be at least 1")
-    return _solve(spec, order)[0]
+    return {lhs: arr[:] for lhs, arr in _solve(spec, order)[0].items()}
 
 
 def _solve(
     spec: EquationSystem, order: int
 ) -> tuple[dict[Restriction, list[int]], tuple[PlanEquation, ...]]:
-    """Counts c[0..order] per restriction, in the system's order, and the
-    draw plan over the same lists.
+    """Counts c[0..order] per restriction, in the system's order, one list
+    per block of equal series, and the draw plan over the same lists.
 
     Size-major evaluation of the fixed point: when size n is processed, every
     product only reads coefficients of sizes below n, which are final.
@@ -87,21 +101,25 @@ def _solve(
         raise NonDisjointSystemError(
             "system has ambiguous unions; its term sums would overcount"
         )
-    counts = {lhs: [0] * (order + 1) for lhs in spec.equations}
+    block = _equal_series(spec)
+    lists = [[0] * (order + 1) for _ in range(max(block.values()) + 1)]
+    counts = {lhs: lists[block[lhs]] for lhs in spec.equations}
     keys = [spec.root] + [k for k in spec.equations if k != spec.root]
     number = {k: i for i, k in enumerate(keys)}
-    shared: dict[tuple[Restriction, ...], list[int]] = {}
+    shared: dict[tuple, list[int]] = {}
     # (series, left factor, right factor's counts), each distinct product once
     steps: list[tuple[list[int], list[int], list[int]]] = []
-    plan = []
+    plan, summed = [], {}  # one plan entry per block sums its total
     for key in keys:
         eq = spec.equations[key]
         terms = []
         for t in eq.terms:
             kids = t.children
             rows = [counts[kids[0]]]
+            prefix: tuple = tuple(sorted(block[c] for c in kids[:2]))
             for j in range(1, len(kids)):
-                prefix = kids[: j + 1]
+                if j > 1:
+                    prefix = (prefix, block[kids[j]])
                 series = shared.get(prefix)
                 if series is None:
                     series = shared[prefix] = [0] * (order + 1)
@@ -117,6 +135,7 @@ def _solve(
                 )
             )
         plan.append((counts[key], eq.has_one, tuple(terms)))
+        summed.setdefault(block[key], plan[-1])
     mul = operator.mul
     tiled, differenced = [], []
     for n in range(1, order + 1):
@@ -142,12 +161,32 @@ def _solve(
             tiles[n] = 0
         for product in differenced:
             _difference_step(product, n)
-        for total, has_one, terms in plan:
+        for total, has_one, terms in summed.values():
             total[n] = (1 if has_one and n == 1 else 0) + sum(t[0][n] for t in terms)
     for lhs, arr in counts.items():
         if arr[0] != 0 or arr[1] not in (0, 1):
             raise AssertionError(f"count table for {lhs} violates c0=0, c1<=1")
     return counts, tuple(plan)
+
+
+def _equal_series(spec: EquationSystem) -> dict[Restriction, int]:
+    """The block of every restriction in the coarsest stable partition of
+    the equations, numbered from 0: restrictions in one block have equal
+    counts at every size.
+
+    Starting from the atom flag, an equation's block is split by the sorted
+    multiset of its terms, each term the sorted tuple of its children's
+    blocks, until no block splits (Paige & Tarjan 1987)."""
+    block = {lhs: int(eq.has_one) for lhs, eq in spec.equations.items()}
+    while True:
+        names: dict[tuple, int] = {}
+        refined = {}
+        for lhs, eq in spec.equations.items():
+            terms = sorted(tuple(sorted(block[c] for c in t.children)) for t in eq.terms)
+            refined[lhs] = names.setdefault((block[lhs], *terms), len(names))
+        if len(names) == len(set(block.values())):
+            return refined
+        block = refined
 
 
 # Pairs (i, n - i) with i or n - i below the edge are summed at size n;

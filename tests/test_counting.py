@@ -12,6 +12,7 @@ import permspec as ps
 from permspec import counting
 from permspec.counting import convolve
 from permspec.errors import NonDisjointSystemError
+from permspec.restrictions import RestrictionTerm, restriction
 
 P = ps.perm
 
@@ -141,9 +142,9 @@ def test_count_tables_to_2000_are_pinned(big_spec, five_root_spec):
 
 
 def test_equal_prefixes_share_one_series(big_spec):
-    # the separable closure's two products are tiled from size 255 on
+    # the separable closure's one product is tiled from size 255 on
     separable = ps.substitution_closed_spec(ps.simple_set([]))
-    for spec, order, uses, distinct in ((big_spec, 20, 40, 18), (separable, 300, 4, 2)):
+    for spec, order, uses, distinct in ((big_spec, 20, 40, 14), (separable, 300, 4, 1)):
         tables = ps.build_tables(spec, order)
         counts = tables.counts
         keys = [spec.root] + [k for k in spec.equations if k != spec.root]
@@ -157,11 +158,61 @@ def test_equal_prefixes_share_one_series(big_spec):
             for n in range(order + 1):
                 atom = int(has_one and n == 1)
                 assert total[n] == atom + sum(term[0][n] for term in terms)
-        # one list per distinct ordered child prefix, shared by every term
+        # prefixes whose factors are equal series share one list
         assert all(all(s is lists[0] for s in lists) for lists in by_prefix.values())
         assert sum(len(lists) for lists in by_prefix.values()) == uses
         ids = {id(s) for lists in by_prefix.values() for s in lists}
-        assert len(ids) == len(by_prefix) == distinct
+        assert len(ids) == distinct
+
+
+def test_mirror_equations_share_one_list():
+    # C+ = z + minus[C-, C] and C- = z + plus[C+, C] have equal series
+    separable = ps.substitution_closed_spec(ps.simple_set([]))
+    counts = ps.build_tables(separable, 20).counts
+    assert counts[restriction("+")] is counts[restriction("-")]
+    assert counts[restriction("+")] is not counts[restriction("")]
+
+
+def test_coefficients_hands_back_one_list_per_restriction():
+    separable = ps.substitution_closed_spec(ps.simple_set([]))
+    table = ps.coefficients(separable, 10)
+    want = {lhs: arr[:] for lhs, arr in table.items()}
+    for lhs in table:
+        table[lhs][5] += 1
+        assert all(table[k] == want[k] for k in table if k != lhs)
+        table[lhs][5] -= 1
+
+
+def test_equations_that_agree_for_three_rounds_keep_their_own_lists():
+    # with a = z: p0 = z and q0 = z + p0 * a split in the first round of
+    # refinement; p_k = z + p_{k-1} * a and q_k = z + q_{k-1} * a split in
+    # round k + 1, and their series differ from size k + 2 on; p1 = q0
+    a = restriction("", [P("12")])
+    names = ("123", "132", "213", "231", "312", "321", "1234", "1243")
+    p0, q0, p1, q1, p2, q2, p3, q3 = (restriction("+", [P(x)]) for x in names)
+    root = restriction("", [P("21")])
+    rhs = {
+        root: ((p3, a), (q3, a)),
+        a: (),
+        p0: (),
+        q0: ((p0, a),),
+        p1: ((p0, a),),
+        q1: ((q0, a),),
+        p2: ((p1, a),),
+        q2: ((q1, a),),
+        p3: ((p2, a),),
+        q3: ((q2, a),),
+    }
+    spec = ps.EquationSystem((), root)
+    for lhs, terms in rhs.items():
+        terms = tuple(RestrictionTerm(ps.PLUS, kids) for kids in terms)
+        spec.equations[lhs] = ps.Equation(lhs, lhs != root, terms, disjoint=True)
+    assert len(spec.equations) == 10
+    order = 12
+    counts = ps.build_tables(spec, order).counts
+    assert counts[p1] is counts[q0]
+    assert counts[p3] is not counts[q3] and counts[p3][:5] == counts[q3][:5]
+    assert counts == schoolbook_coefficients(spec, order)
 
 
 def schoolbook_coefficients(spec, order):
@@ -220,9 +271,23 @@ def product_forms(spec, monkeypatch):
 def test_tile_boundaries_match_the_schroder_recurrence(monkeypatch):
     # tiles of side 128 start at size 256, of side 256 at 512
     spec = ps.substitution_closed_spec(ps.simple_set([]))
-    assert product_forms(spec, monkeypatch) == (2, 0)
+    assert product_forms(spec, monkeypatch) == (1, 0)
     for order in (254, 255, 256, 257, 511, 512, 513, 700):
         assert ps.class_counts(spec, order) == separable_counts(order), order
+
+
+def test_equal_series_halve_the_products_of_a_197_equation_class(monkeypatch):
+    # its 197 equations fall into 82 blocks: 261 distinct products of 620
+    # ordered prefixes; the digest was recorded when each equation had its
+    # own list
+    spec = ps.specification(
+        ps.basis_of([P(x) for x in ("2413", "3142", "21354", "45312")]), ps.simple_set([])
+    )
+    assert product_forms(spec, monkeypatch) == (68, 193)
+    assert (
+        table_digest(ps.coefficients(spec, 300))
+        == "a0cc5d56572b91858bd7b10d7c82c653ddd5b35675e6447c64cf00b279da803c"
+    )
 
 
 def test_catalan_to_600(av132_spec):
@@ -235,16 +300,16 @@ def test_tiled_and_schoolbook_products_match_the_schoolbook_sweep(
 ):
     # every five-pattern and five-root product has a factor of at most 28
     # bits at size 600; Av(132) tiles its Catalan product, Av(2413,3142,2143)
-    # one product of four and the hard basis 60 of 143
+    # one product of four and the hard basis 60 of 124
     hard = ps.specification(
         ps.basis_of([P(x) for x in ("2413", "3142", "21354", "12453")]), ps.simple_set([])
     )
     for spec, forms, order in (
-        (big_spec, (0, 18), 600),
-        (five_root_spec, (0, 20), 600),
+        (big_spec, (0, 14), 600),
+        (five_root_spec, (0, 16), 600),
         (sep_subclass_spec, (1, 3), 600),
         (av132_spec, (1, 2), 600),
-        (hard, (60, 83), 300),
+        (hard, (60, 64), 300),
     ):
         assert product_forms(spec, monkeypatch) == forms
         assert ps.coefficients(spec, order) == schoolbook_coefficients(spec, order)
