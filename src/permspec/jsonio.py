@@ -34,7 +34,7 @@ from .restrictions import (
     restriction,
     terms_meet_provably_empty,
 )
-from .system import EquationSystem
+from .system import EquationSystem, SimpleSet
 
 
 def restriction_key(r: Restriction) -> str:
@@ -83,8 +83,12 @@ def system_to_obj(system: EquationSystem) -> dict:
 
 def system_from_obj(obj) -> EquationSystem:
     """The system a JSON object describes; InvalidInputError names the first
-    missing or mistyped field."""
+    missing or mistyped field, or closure_simples that no class has."""
     simples = tuple(_perm_from_obj(v) for v in _field(obj, "closure_simples", list))
+    try:
+        SimpleSet(simples)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"system JSON: closure_simples: {exc}") from None
     eobjs = _field(obj, "equations", list)
     if not eobjs:
         raise InvalidInputError("system JSON has no equations")

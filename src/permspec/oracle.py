@@ -195,9 +195,8 @@ class _Denotations:
     children, in enumeration order."""
 
     def __init__(self, simples: Sequence[Permutation], nmax: int):
-        self.simples = tuple(simples)
         self.table: dict[int, dict[Permutation | None, list[tuple[Permutation, tuple]]]] = {}
-        for n, level in _decomposed_closure(self.simples, nmax).items():
+        for n, level in _decomposed_closure(simples, nmax).items():
             buckets = self.table[n] = {}
             for p, root, kids in level:
                 buckets.setdefault(root, []).append((p, kids))

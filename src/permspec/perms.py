@@ -9,7 +9,8 @@ up in generalized substitutions) but is rejected by the decomposition
 routines.
 
 `decomposition_tree` is the one decomposition walker; `decompose` is its
-first level with normalized children, and `in_closure` checks its roots.
+first level with normalized children, `in_closure` checks its roots, and
+`is_simple` counts the parts of one split of the whole permutation.
 Pattern search extends a partial occurrence by one constant-time check per
 candidate: the new value must lie between the host values at the two earlier
 slots whose pattern values are nearest below and above (Albert, Aldred,
@@ -220,23 +221,17 @@ def intervals_from(p: Permutation, i: int) -> set[Interval]:
     return out
 
 
-def all_intervals(p: Permutation) -> set[Interval]:
-    out: set[Interval] = set()
-    for i in range(1, len(p) + 1):
-        out |= intervals_from(p, i)
-    return out
-
-
 def is_simple(p: Permutation) -> bool:
-    """Size >= 4 with only trivial intervals, the singletons and the full
-    range (1, 12, 21 do not count as simple)."""
+    """Size >= 4 with only trivial intervals (1, 12, 21 are not simple).  A
+    proper interval makes the split a plus or minus node, or merges entries
+    into one part, so p is simple iff its split has one part per entry."""
     n = len(p)
-    return n >= 4 and all(j - i in (0, n - 1) for i, j in all_intervals(p))
+    return n >= 4 and len(_split(p.values, 0, n, 0)[1]) == n
 
 
 def normalized_blocks(p: Permutation) -> set[Permutation]:
     """Patterns induced on every interval of p (including p itself and 1)."""
-    return {pattern_at(p, iv) for iv in all_intervals(p)}
+    return {pattern_at(p, iv) for i in range(1, len(p) + 1) for iv in intervals_from(p, i)}
 
 
 def substitute(root: Permutation, blocks: Sequence[Permutation]) -> Permutation:

@@ -377,6 +377,26 @@ def test_root_outside_the_closure_is_domain_error(tmp_path, capsys):
     assert "closure_simples" in one_line(err)
 
 
+@pytest.mark.parametrize(
+    "simples,reason",
+    [
+        ([[1, 2, 3]], "is not a simple permutation"),
+        # simple, but its simple patterns 2413 and 3142 are missing: the
+        # audit of the separable spec with this set reports violations
+        ([[2, 5, 3, 1, 4]], "is missing from the set"),
+    ],
+)
+def test_closure_simples_no_class_has_is_domain_error(tmp_path, capsys, simples, reason):
+    obj = jsonio.system_to_obj(ps.substitution_closed_spec(ps.simple_set([])))
+    obj["closure_simples"] = simples
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "count", "--spec", str(spec_path), "-N", "5")
+    assert code == 1 and out == ""
+    line = one_line(err)
+    assert "system JSON: closure_simples:" in line and reason in line
+
+
 def test_uncertified_disjoint_flag_is_domain_error(tmp_path, capsys):
     # the ambiguous system of Av(2413,3142,2143) with every equation marked
     # disjoint would count 1, 3, 10, 38, ... instead of 1, 2, 6, 21, ...

@@ -5,8 +5,9 @@ import pytest
 
 import permspec as ps
 from permspec.errors import InvalidInputError
-from permspec.perms import all_intervals, pattern_at
+from permspec.perms import pattern_at
 from props import (
+    all_intervals,
     block_decompositions,
     check_embedding_completeness,
     check_embedding_completeness_exhaustive,

@@ -26,6 +26,7 @@ from props import (
     check_pattern_order_antisymmetry,
     minus_decomposable,
     plus_decomposable,
+    simple_by_intervals,
 )
 
 P = ps.perm
@@ -334,19 +335,34 @@ def random_deep_perm(rng, n):
     return p
 
 
+def seeded_randoms():
+    """Seeded uniform and deep permutations of sizes 9 to 60, three of each
+    kind per size."""
+    rng = random.Random(12)
+    return [f(rng, n) for n in range(9, 61) for f in (random_perm, random_deep_perm) * 3]
+
+
 def test_decomposition_tree_matches_recursive_decompose():
     # every node is decompose of the normalized block it covers; the walk
     # keeps windows of p's own values, so this checks their bookkeeping
-    rng = random.Random(12)
-    randoms = [f(rng, n) for n in range(9, 61) for f in (random_perm, random_deep_perm) * 3]
-    for p in [q for n in range(1, 9) for q in all_perms(n)] + randoms:
+    for p in [q for n in range(1, 9) for q in all_perms(n)] + seeded_randoms():
         tree = decomposition_tree(p)
         assert nested(tree) == reference_tree(p), p
         assert len(tree) == 1 + sum(len(root) for _, root, _ in tree if root is not None)
         # a prime node's root is the quotient by its maximal intervals:
         # simple by theorem, which the split itself does not re-check
         roots = [root for _, root, _ in tree if root not in (None, ps.PLUS, ps.MINUS)]
-        assert all(ps.is_simple(root) for root in roots), p
+        assert all(simple_by_intervals(root) for root in roots), p
+
+
+def test_is_simple_matches_intervals():
+    # is_simple reads the split's part count; the referee lists intervals
+    alternation = ps.Permutation(tuple(range(2, 1001, 2)) + tuple(range(1, 1000, 2)))
+    inflated = ps.substitute(alternation, [ps.ONE] * 500 + [P("21")] + [ps.ONE] * 499)
+    smalls = [q for n in range(1, 9) for q in all_perms(n)]
+    for p in smalls + seeded_randoms() + [alternation, inflated]:
+        assert ps.is_simple(p) == simple_by_intervals(p), p
+    assert ps.is_simple(alternation) and not ps.is_simple(inflated)
 
 
 def test_decomposition_tree_of_a_deep_chain():
