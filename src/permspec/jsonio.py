@@ -127,7 +127,9 @@ def system_from_obj(obj) -> EquationSystem:
             children = []
             for key in _field(tobj, "children", list):
                 if not isinstance(key, str) or key not in by_key:
-                    raise InvalidInputError(f"child {key!r} is not defined by any equation")
+                    raise InvalidInputError(
+                        f"system JSON: child {key!r} is not defined by any equation"
+                    )
                 children.append(by_key[key])
             terms.append(RestrictionTerm(root, tuple(children)))
         has_one = _field(eobj, "has_one", bool)

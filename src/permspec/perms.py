@@ -100,11 +100,6 @@ def normalize(values: Sequence[int]) -> Permutation:
     return Permutation(ranks[v] for v in values)
 
 
-def pattern_of(p: Permutation, indices: Sequence[int]) -> Permutation:
-    """The pattern induced on a set of 1-based positions of p."""
-    return normalize([p.values[i - 1] for i in sorted(indices)])
-
-
 def pattern_at(p: Permutation, interval: Interval) -> Permutation:
     """The normalized block of p on the 1-based inclusive range (i, j)."""
     i, j = interval

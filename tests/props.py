@@ -47,6 +47,27 @@ def simple_by_intervals(p) -> bool:
     return n >= 4 and all(j - i in (0, n - 1) for i, j in all_intervals(p))
 
 
+def simple_patterns_by_subsets(p):
+    """Every simple pattern of p smaller than p, from the patterns on all
+    2^n position subsets: the exponential referee for the one- and
+    two-point deletions that `SimpleSet` checks."""
+    out = set()
+    for k in range(4, len(p)):
+        for positions in itertools.combinations(range(len(p)), k):
+            q = ps.normalize([p.values[i] for i in positions])
+            if ps.is_simple(q):
+                out.add(q)
+    return out
+
+
+def parallel_alternations(kmax):
+    """2 4 ... k 1 3 ... k-1 for k = 4, 6, ..., kmax: a closed simple set,
+    the simple patterns of its largest member together with that member."""
+    return [
+        ps.Permutation([*range(2, k + 1, 2), *range(1, k, 2)]) for k in range(4, kmax + 1, 2)
+    ]
+
+
 # ---------------------------------------------------------------- perm-core
 
 

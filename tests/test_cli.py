@@ -8,6 +8,7 @@ import pytest
 import permspec as ps
 from permspec import jsonio
 from permspec.cli import main
+from props import parallel_alternations
 
 P = ps.perm
 
@@ -343,6 +344,25 @@ def test_simple_containing_a_basis_pattern_is_domain_error(tmp_path, capsys, com
             '"contain": []}, "has_one": "yes", "disjoint": true, "terms": []}]}',
             "has_one",
         ),
+        pytest.param('{"closure_simples": [], "equations": []}', "no equations", id="no-equations"),
+        pytest.param(
+            '{"closure_simples": [], "equations": [{"lhs": {"delta": "", "avoid": [[2, 1]], '
+            '"contain": []}, "has_one": true, "disjoint": true, "terms": [{"root": "plus", '
+            '"children": ["C<avoid:12><contain:>", "C<avoid:><contain:>"]}]}]}',
+            "system JSON: child 'C<avoid:12><contain:>' is not defined",
+            id="undefined-child",
+        ),
+        pytest.param(
+            '{"closure_simples": [[2, 4, 1, "3"]], "equations": []}',
+            "not a list of integers",
+            id="string-entry",
+        ),
+        pytest.param(
+            '{"closure_simples": [], "equations": [{"lhs": {"delta": "x", "avoid": [], '
+            '"contain": []}, "has_one": true, "disjoint": true, "terms": []}]}',
+            "delta",
+            id="bad-delta",
+        ),
     ],
 )
 def test_malformed_spec_is_domain_error(tmp_path, capsys, text, field):
@@ -384,6 +404,9 @@ def test_root_outside_the_closure_is_domain_error(tmp_path, capsys):
         # simple, but its simple patterns 2413 and 3142 are missing: the
         # audit of the separable spec with this set reports violations
         ([[2, 5, 3, 1, 4]], "is missing from the set"),
+        # the parallel alternations of sizes 6-20 lack 2413, which only a
+        # two-point deletion of 246135 reaches
+        ([list(p.values) for p in parallel_alternations(20)[1:]], "is missing from the set"),
     ],
 )
 def test_closure_simples_no_class_has_is_domain_error(tmp_path, capsys, simples, reason):

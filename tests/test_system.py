@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -9,8 +11,15 @@ from permspec.errors import (
     TrivialClassError,
 )
 from permspec.restrictions import RestrictionTerm, provably_empty, restriction
-from permspec.system import empty_restrictions, propagated_blocks, prune_terms
-from props import check_add_constraints_semantics, check_system_structure
+from permspec.system import _simple_deletions, empty_restrictions, propagated_blocks, prune_terms
+from props import (
+    all_perms,
+    check_add_constraints_semantics,
+    check_system_structure,
+    parallel_alternations,
+    simple_by_intervals,
+    simple_patterns_by_subsets,
+)
 
 P = ps.perm
 
@@ -52,6 +61,42 @@ def test_basis_validation():
 def test_simple_set_validation():
     with pytest.raises(InvalidInputError):
         ps.simple_set([P("123")])
+
+
+def test_large_simple_set_is_checked_in_polynomial_time():
+    # a check exponential in the member size fails the bound: the scan of
+    # all 2^20 position subsets of the largest member takes about 30 s
+    alternations = parallel_alternations(20)
+    start = time.perf_counter()
+    ps.simple_set(alternations)
+    assert time.perf_counter() - start < 2.0
+    # 2413 is a two-point deletion of 246135, which has no simple one-point one
+    with pytest.raises(InvalidInputError, match="is missing from the set"):
+        ps.simple_set(alternations[1:])
+
+
+def seeded_simples():
+    """50 seeded random simple permutations of size 8 or 9."""
+    rng = random.Random(23)
+    out = []
+    while len(out) < 50:
+        n = rng.choice((8, 9))
+        p = ps.Permutation(rng.sample(range(1, n + 1), n))
+        if simple_by_intervals(p):
+            out.append(p)
+    return out
+
+
+def test_simple_deletions_reach_every_simple_pattern():
+    # repeated one- and two-point deletions through simple permutations
+    # find exactly the simple patterns that the all-subsets scan lists
+    exhaustive = [p for n in range(4, 8) for p in all_perms(n) if simple_by_intervals(p)]
+    for s in exhaustive + seeded_simples():
+        reached, frontier = {s}, {s}
+        while frontier:
+            frontier = set().union(*map(_simple_deletions, frontier)) - reached
+            reached |= frontier
+        assert reached == simple_patterns_by_subsets(s) | {s}, s
 
 
 def test_add_constraints_minus_231():
@@ -154,6 +199,25 @@ def test_add_constraints_matches_naive_product(root, g):
         )
         naive.append(RestrictionTerm(t.root, children))
     assert set(ps.add_constraints(t, P(g))) == set(prune_terms(tuple(naive)))
+
+
+def test_systems_and_equations_print_one_line_per_equation(av132_spec):
+    # disjoint unions print with " + ", ambiguous ones with " | ", and an
+    # equation with neither the atom nor a term as EMPTY
+    assert str(av132_spec).splitlines() == [
+        "C<132> = 1 + plus[C+<132>, C<21>] + minus[C-<132>, C<132>]",
+        "C+<132> = 1 + minus[C-<132>, C<132>]",
+        "C<21> = 1 + plus[C+<21>, C<21>]",
+        "C-<132> = 1 + plus[C+<132>, C<21>]",
+        "C+<21> = 1",
+    ]
+    eq = ps.eqn_for_restriction("", [P("2143")], (), ps.simple_set([]))
+    assert str(eq) == (
+        "C<2143> = 1 | plus[C+<21>, C<2143>] | plus[C+<2143>, C<21>] | minus[C-<2143>, C<2143>]"
+    )
+    assert str(ps.eqn_for_restriction("", [P("12")], [P("123")], ps.simple_set([]))) == (
+        "C<12>(123) = EMPTY"
+    )
 
 
 def test_eqn_for_restriction_avoid_only_1243(big_simples):
