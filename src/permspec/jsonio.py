@@ -93,15 +93,15 @@ def system_from_obj(obj) -> EquationSystem:
     if not eobjs:
         raise InvalidInputError("system JSON has no equations")
     lhss = []
-    for eobj in eobjs:
+    for k, eobj in enumerate(eobjs):
         lo = _field(eobj, "lhs", dict)
-        lhss.append(
-            restriction(
-                _field(lo, "delta", str),
-                [_perm_from_obj(v) for v in _field(lo, "avoid", list)],
-                [_perm_from_obj(v) for v in _field(lo, "contain", list)],
-            )
-        )
+        delta = _field(lo, "delta", str)
+        avoid = [_perm_from_obj(v) for v in _field(lo, "avoid", list)]
+        contain = [_perm_from_obj(v) for v in _field(lo, "contain", list)]
+        try:
+            lhss.append(restriction(delta, avoid, contain))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"system JSON: equations[{k}].lhs: {exc}") from None
     by_key: dict[str, Restriction] = {}
     for r in lhss:
         key = restriction_key(r)

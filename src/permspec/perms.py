@@ -219,9 +219,10 @@ def intervals_from(p: Permutation, i: int) -> set[Interval]:
 def is_simple(p: Permutation) -> bool:
     """Size >= 4 with only trivial intervals (1, 12, 21 are not simple).  A
     proper interval makes the split a plus or minus node, or merges entries
-    into one part, so p is simple iff its split has one part per entry."""
+    into one part, so p is simple iff it has no plus or minus split and one
+    part per entry; the parts are counted, and no quotient is built."""
     n = len(p)
-    return n >= 4 and len(_split(p.values, 0, n, 0)[1]) == n
+    return n >= 4 and _sum_split(p.values, 0, n, 0) is None and len(_parts(p.values, 0, n)) == n
 
 
 def normalized_blocks(p: Permutation) -> set[Permutation]:
@@ -259,14 +260,20 @@ def _split(values: tuple[int, ...], pos: int, size: int, offset: int) -> tuple[P
 
     The block is a window of the permutation's values: its entries are
     values[pos : pos + size] and they are offset + 1 .. offset + size.
-    Returns the root and the children's windows (pos, size, offset).  The
-    root is 12 (21) when some proper prefix holds the block's lowest
-    (highest) values; the shortest such prefix is the first child, which is
-    then plus- (minus-) indecomposable.  Otherwise the quotient by the
-    maximal intervals is simple (Albert & Atkinson 2005), so every proper
-    interval lies inside one part, and the part starting at a position is
-    the longest proper interval from there.
+    Returns the root and the children's windows (pos, size, offset): the
+    plus or minus split when there is one, else the quotient by the parts.
     """
+    split = _sum_split(values, pos, size, offset)
+    if split is not None:
+        return split
+    parts = _parts(values, pos, size)
+    return normalize([low for _, _, low in parts]), parts
+
+
+def _sum_split(values: tuple[int, ...], pos: int, size: int, offset: int):
+    """The root 12 (21) and its two windows when some proper prefix of the
+    block holds its lowest (highest) values, else None.  The shortest such
+    prefix is the first child, which is then plus- (minus-) indecomposable."""
     lo, hi = offset + size + 1, offset
     for j in range(1, size):
         x = values[pos + j - 1]
@@ -278,6 +285,14 @@ def _split(values: tuple[int, ...], pos: int, size: int, offset: int) -> tuple[P
             return PLUS, ((pos, j, offset), (pos + j, size - j, offset + j))
         if lo == offset + size - j + 1:
             return MINUS, ((pos, j, offset + size - j), (pos + j, size - j, offset))
+    return None
+
+
+def _parts(values: tuple[int, ...], pos: int, size: int) -> tuple:
+    """The windows of the maximal proper intervals of a block with no plus or
+    minus split.  Its quotient by them is simple (Albert & Atkinson 2005), so
+    every proper interval lies inside one part, and the part starting at a
+    position is the longest proper interval from there."""
     parts = []
     i, end = pos, pos + size
     while i < end:
@@ -294,7 +309,7 @@ def _split(values: tuple[int, ...], pos: int, size: int, offset: int) -> tuple[P
                 stop, low = j + 1, lo
         parts.append((i, stop - i, low - 1))
         i = stop
-    return normalize([low for _, _, low in parts]), tuple(parts)
+    return tuple(parts)
 
 
 def decompose(p: Permutation) -> tuple[Permutation, tuple[Permutation, ...]]:

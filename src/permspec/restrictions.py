@@ -8,23 +8,87 @@ root by restrictions.  This module provides canonical forms, the sufficient
 emptiness/inclusion tests, intersections, and disjoint complements; it never
 needs to know the closure's simple permutations, which only enter through the
 membership oracle.
+
+Every pattern that constrains a restriction is interned once, in a table
+private to this module: it gets a bit, and the table keeps, per pattern, the
+exact masks of the interned patterns it contains and of those that contain it,
+itself included in both.  A new pattern is compared once with each interned
+pattern and both directions are recorded, under a lock, before its bit is
+handed out, so concurrent threads may build restrictions freely.  A
+restriction derives its avoid and contain masks when it is built (they are not
+fields: equality, hash and repr ignore them, and unpickling rebuilds the
+restriction, so the masks are derived again in the receiving process).  The
+canonical minima and maxima, emptiness, meets and inclusion are then integer
+operations, and `restriction` builds the canonical form of a pair of pattern
+sets once, keyed by their masks.  The masks a query folds in from the table
+(what a restriction's mandatory patterns imply, what its avoided ones exclude)
+are exact only for the table they were read from, and a pattern interned later
+may sit below a mandatory one: each restriction stamps them with the table's
+size and reads them again once the table has grown, so no mask computed from a
+smaller table decides a later query.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError
-from .perms import EMPTY, MINUS, ONE, PLUS, Permutation, contains, is_simple, sort_key
+from .perms import MINUS, ONE, PLUS, Permutation, contains, is_simple, sort_key
 
 DELTAS = ("", "+", "-")
 _DELTA_RANK = {"": 0, "+": 1, "-": 2}
 
+_lock = threading.Lock()
+_ids: dict[Permutation, int] = {}
+_patterns: list[Permutation] = []
+# per interned pattern, the masks of the interned patterns it contains and of
+# those containing it, itself included; a slot grows, never shrinks
+_below: list[int] = []
+_above: list[int] = []
 
-def _sorted_patterns(patterns) -> tuple[Permutation, ...]:
-    return tuple(sorted(set(patterns), key=sort_key))
+
+def _intern(p: Permutation) -> int:
+    if len(p) == 0:
+        raise InvalidInputError("the empty permutation may not constrain a restriction")
+    with _lock:
+        i = _ids.get(p)
+        if i is not None:
+            return i
+        i = len(_below)
+        bit = below = above = 1 << i
+        for q, j in _ids.items():
+            if len(q) < len(p) and contains(p, q):
+                below |= 1 << j
+            elif len(q) > len(p) and contains(q, p):
+                above |= 1 << j
+        # nothing is written until every comparison has succeeded
+        for j in _ids.values():
+            if below >> j & 1:
+                _above[j] |= bit
+            if above >> j & 1:
+                _below[j] |= bit
+        _patterns.append(p)
+        _below.append(below)
+        _above.append(above)
+        # published last: a pattern's id is only seen with both directions done
+        _ids[p] = i
+        return i
+
+
+def _mask(patterns) -> int:
+    m = 0
+    for p in patterns:
+        i = _ids.get(p)
+        m |= 1 << (_intern(p) if i is None else i)
+    return m
+
+
+_ONE_BIT = _mask((ONE,))
+# never equal to a table size: the first query reads the table
+_UNREAD = (-1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -39,9 +103,13 @@ class Restriction:
     def __post_init__(self) -> None:
         if self.delta not in DELTAS:
             raise InvalidInputError(f"bad delta {self.delta!r}")
-        for p in self.avoid + self.contain:
-            if len(p) == 0:
-                raise InvalidInputError("the empty permutation may not constrain a restriction")
+        object.__setattr__(self, "_avoid_mask", _mask(self.avoid))
+        object.__setattr__(self, "_contain_mask", _mask(self.contain))
+        object.__setattr__(self, "_read", _UNREAD)
+
+    def __reduce__(self):
+        # the masks are bits of this process's table: rebuild, never copy them
+        return (Restriction, (self.delta, self.avoid, self.contain))
 
     def __str__(self) -> str:
         av = ",".join(p.compact() for p in self.avoid)
@@ -60,6 +128,24 @@ class Restriction:
         )
 
 
+def _table_masks(r: Restriction) -> tuple[int, int, int]:
+    """(table size, implied, excluded): the interned patterns some mandatory
+    pattern of r contains, and those containing some avoided one, read from
+    the current table unless r's stamp is of its current size."""
+    read = r._read
+    size = len(_below)
+    if read[0] != size:
+        implied = excluded = 0
+        for p in r.contain:
+            implied |= _below[_ids[p]]
+        for p in r.avoid:
+            excluded |= _above[_ids[p]]
+        # one tuple, so a concurrent reader never pairs a stamp with other masks
+        read = (size, implied, excluded)
+        object.__setattr__(r, "_read", read)
+    return read
+
+
 def _delta_bars(delta: str, root: Permutation | None) -> bool:
     """Whether a restriction with this delta excludes members with this root."""
     return (delta == "+" and root == PLUS) or (delta == "-" and root == MINUS)
@@ -68,44 +154,48 @@ def _delta_bars(delta: str, root: Permutation | None) -> bool:
 def restriction(delta: str, avoid=(), contain=()) -> Restriction:
     """The canonical restriction avoiding `avoid` and containing `contain`.
 
-    Each side is deduplicated and sorted once, then reduced without changing
-    the denoted set.  Avoiding a pattern makes avoiding anything above it
+    Each side is read as a set of interned patterns, reduced without
+    changing the denoted set, and sorted; equal sets share one canonical
+    restriction.  Avoiding a pattern makes avoiding anything above it
     redundant, so only minimal avoided patterns are kept; dually only maximal
     contained patterns are kept.  Containing 1 says nothing, so 1 is dropped
     from the contain side; an avoided 1 stays (it marks the empty set).
     """
-    contain = _sorted_patterns(contain)
-    # checked before the reduction, which would drop it below any other pattern
-    if EMPTY in contain:
-        raise InvalidInputError("the empty permutation may not constrain a restriction")
-    return Restriction(
-        delta,
-        _minima(_sorted_patterns(avoid)),
-        _maxima(tuple(p for p in contain if p != ONE)),
-    )
+    return _canonical(delta, _mask(avoid), _mask(contain) & ~_ONE_BIT)
 
 
-def _minima(patterns: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
-    return tuple(
-        p for p in patterns if not any(q != p and contains(p, q) for q in patterns)
-    )
+@lru_cache(maxsize=1 << 16)
+def _canonical(delta: str, avoid: int, contain: int) -> Restriction:
+    """The restriction of the minimal patterns of one mask and the maximal
+    ones of another; masks name pattern sets for good, so it never goes
+    stale."""
+    return Restriction(delta, _extremes(avoid, _below), _extremes(contain, _above))
 
 
-def _maxima(patterns: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
-    return tuple(
-        p for p in patterns if not any(q != p and contains(q, p) for q in patterns)
-    )
+def _extremes(mask: int, relation: list[int]) -> tuple[Permutation, ...]:
+    """The patterns of the mask whose `relation` mask (below or above) meets
+    no other of them, in canonical order."""
+    kept = []
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        if relation[i] & mask == low:
+            kept.append(_patterns[i])
+    kept.sort(key=sort_key)
+    return tuple(kept)
 
 
 def is_empty_sufficient(r: Restriction) -> bool:
     """True guarantees the restriction denotes the empty set: some avoided
     pattern sits below some mandatory one.  False proves nothing."""
-    return any(contains(a, e) for e in r.avoid for a in r.contain)
+    return r._avoid_mask & _table_masks(r)[1] != 0
 
 
 def provably_empty(r: Restriction) -> bool:
     """Emptiness by convention (1 avoided) or by the sufficient test."""
-    return ONE in r.avoid or is_empty_sufficient(r)
+    return r._avoid_mask & (_ONE_BIT | _table_masks(r)[1]) != 0
 
 
 def subset_sufficient(r1: Restriction, r2: Restriction) -> bool:
@@ -116,9 +206,8 @@ def subset_sufficient(r1: Restriction, r2: Restriction) -> bool:
     """
     if r1.delta != r2.delta:
         raise InvalidInputError("subset test requires matching deltas")
-    return all(any(contains(p, t) for t in r1.avoid) for p in r2.avoid) and all(
-        any(contains(t, p) for t in r1.contain) for p in r2.contain
-    )
+    _, implied, excluded = _table_masks(r1)
+    return r2._avoid_mask & ~excluded == 0 and r2._contain_mask & ~implied == 0
 
 
 @lru_cache(maxsize=1 << 16)
@@ -201,16 +290,24 @@ def term_provably_empty(t: RestrictionTerm) -> bool:
     return any(provably_empty(c) for c in t.children)
 
 
-@lru_cache(maxsize=1 << 16)
-def _meet_provably_empty(r1: Restriction, r2: Restriction) -> bool:
-    return provably_empty(intersect_restrictions(r1, r2))
-
-
 def terms_meet_provably_empty(t1: RestrictionTerm, t2: RestrictionTerm) -> bool:
     """True guarantees the same-root terms t1 and t2 are disjoint: their
     componentwise meet has a provably empty child.  Decided per child pair,
-    without building the meet."""
-    return any(map(_meet_provably_empty, t1.children, t2.children))
+    without building the meet: the meet of c1 and c2 is provably empty
+    exactly when one of their avoided patterns is 1 or lies below one of
+    their mandatory patterns."""
+    # the stamp checks of _table_masks, inlined: nearly every meet of an
+    # expansion comes through here, and nearly all of them are empty
+    size = len(_below)
+    for c1, c2 in zip(t1.children, t2.children):
+        read1, read2 = c1._read, c2._read
+        if read1[0] != size:
+            read1 = _table_masks(c1)
+        if read2[0] != size:
+            read2 = _table_masks(c2)
+        if (c1._avoid_mask | c2._avoid_mask) & (_ONE_BIT | read1[1] | read2[1]):
+            return True
+    return False
 
 
 def term_subset_sufficient(t1: RestrictionTerm, t2: RestrictionTerm) -> bool:

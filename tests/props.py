@@ -13,8 +13,15 @@ import random
 import permspec as ps
 from permspec.disambiguate import _disambiguate_group
 from permspec.oracle import _Denotations, closure_members
-from permspec.perms import perm
-from permspec.restrictions import Restriction, RestrictionTerm, restriction
+from permspec import restrictions
+from permspec.perms import perm, sort_key
+from permspec.restrictions import (
+    DELTAS,
+    Restriction,
+    RestrictionTerm,
+    restriction,
+    terms_meet_provably_empty,
+)
 
 
 def all_perms(n):
@@ -351,6 +358,145 @@ def check_subset_sufficient_counts(nmax=8, simples=("3142",)):
                 continue
             for n in range(1, nmax + 1):
                 assert den.members(r1, n) <= den.members(r2, n), (r1, r2, n)
+
+
+def random_perm(rng, n):
+    return ps.Permutation(tuple(rng.sample(range(1, n + 1), n)))
+
+
+def deletions(p):
+    """The distinct patterns of p with one entry deleted."""
+    cut = (p.values[:k] + p.values[k + 1 :] for k in range(len(p)))
+    return list(dict.fromkeys(map(ps.normalize, cut)))
+
+
+def insert_point(rng, p):
+    """p with one random entry inserted: a pattern containing p."""
+    n = len(p)
+    v, k = rng.randint(1, n + 1), rng.randint(0, n)
+    lifted = [x + (x >= v) for x in p.values]
+    return ps.Permutation(lifted[:k] + [v] + lifted[k:])
+
+
+# The referee for the restriction algebra's bit masks: every decision as
+# one `contains` lookup per pair of patterns, as it was made before the
+# patterns were interned.
+
+
+def minima_by_pairs(patterns):
+    return tuple(p for p in patterns if not any(q != p and ps.contains(p, q) for q in patterns))
+
+
+def maxima_by_pairs(patterns):
+    return tuple(p for p in patterns if not any(q != p and ps.contains(q, p) for q in patterns))
+
+
+def canonical_by_pairs(avoid, contain):
+    """The avoid and contain sides `restriction` should keep."""
+    def ordered(patterns):
+        return tuple(sorted(set(patterns), key=sort_key))
+
+    return (
+        minima_by_pairs(ordered(avoid)),
+        maxima_by_pairs(tuple(p for p in ordered(contain) if p != ps.ONE)),
+    )
+
+
+def empty_by_pairs(r) -> bool:
+    return any(ps.contains(a, e) for e in r.avoid for a in r.contain)
+
+
+def provably_empty_by_pairs(r) -> bool:
+    return ps.ONE in r.avoid or empty_by_pairs(r)
+
+
+def subset_by_pairs(r1, r2) -> bool:
+    return all(any(ps.contains(p, t) for t in r1.avoid) for p in r2.avoid) and all(
+        any(ps.contains(t, p) for t in r1.contain) for p in r2.contain
+    )
+
+
+def meet_empty_by_pairs(r1, r2) -> bool:
+    """Whether the canonical meet of r1 and r2 is provably empty."""
+    avoid, contain = canonical_by_pairs(r1.avoid + r2.avoid, r1.contain + r2.contain)
+    return provably_empty_by_pairs(Restriction(r1.delta, avoid, contain))
+
+
+def _term_of(r):
+    """A two-child term with r as one child and a free other child, so a
+    meet of two such terms is empty exactly when the meet of the rs is."""
+    if r.delta == "+":
+        return RestrictionTerm(ps.PLUS, (r, restriction("")))
+    if r.delta == "-":
+        return RestrictionTerm(ps.MINUS, (r, restriction("")))
+    return RestrictionTerm(ps.PLUS, (restriction("+"), r))
+
+
+def check_mask_decisions(rs):
+    """Emptiness, inclusion and meets of the given restrictions, decided on
+    bit masks, equal the pairwise referee on every restriction and pair."""
+    for r in rs:
+        assert ps.is_empty_sufficient(r) == empty_by_pairs(r), r
+        assert restrictions.provably_empty(r) == provably_empty_by_pairs(r), r
+    for r1 in rs:
+        for r2 in rs:
+            if r1.delta != r2.delta:
+                continue
+            assert ps.subset_sufficient(r1, r2) == subset_by_pairs(r1, r2), (r1, r2)
+            got = terms_meet_provably_empty(_term_of(r1), _term_of(r2))
+            assert got == meet_empty_by_pairs(r1, r2), (r1, r2)
+
+
+def check_intern_table(patterns):
+    """The table's masks record exactly the containments among `patterns`."""
+    ids = {p: restrictions._ids[p] for p in patterns}
+    for p, i in ids.items():
+        for q, j in ids.items():
+            assert bool(restrictions._below[i] >> j & 1) == ps.contains(p, q), (p, q)
+            assert bool(restrictions._above[i] >> j & 1) == ps.contains(q, p), (p, q)
+
+
+def random_restrictions(rng, pool, count):
+    """Canonical restrictions over up to three avoided and three mandatory
+    patterns of the pool, each with a raw twin over the same patterns."""
+    out = []
+    for _ in range(count):
+        delta = rng.choice(DELTAS)
+        avoid = rng.sample(pool, rng.randint(0, 3))
+        contain = rng.sample(pool, rng.randint(0, 3))
+        canon = restriction(delta, avoid, contain)
+        assert (canon.avoid, canon.contain) == canonical_by_pairs(avoid, contain), canon
+        out += [canon, Restriction(delta, tuple(avoid), tuple(contain))]
+    return out
+
+
+def unseen_first(candidates):
+    """A candidate the intern table has not seen yet, if there is one."""
+    return min(candidates, key=lambda p: p in restrictions._ids)
+
+
+def check_masks_against_pairs(rounds=30, seed=0):
+    """Seeded random restrictions over patterns of sizes 1-6, all three
+    deltas: canonical forms and every mask decision equal the referee, also
+    for patterns interned after the restrictions' masks were first read (a
+    mandatory pattern's deletion, an avoided pattern's extension)."""
+    rng = random.Random(seed)
+    late = 0
+    for _ in range(rounds):
+        pool = [random_perm(rng, rng.randint(1, 6)) for _ in range(12)]
+        rs = random_restrictions(rng, pool, 4)
+        delta = rng.choice(DELTAS)
+        big, small = random_perm(rng, 6), random_perm(rng, 5)
+        rs += [restriction(delta, (), [big]), restriction(delta, [small])]
+        check_mask_decisions(rs)
+        below = unseen_first(deletions(big))
+        above = unseen_first([insert_point(rng, small) for _ in range(6)])
+        late += (below not in restrictions._ids) + (above not in restrictions._ids)
+        rs += [restriction(delta, [below]), restriction(delta, (), [below])]
+        rs += [restriction(delta, [above]), restriction(delta, (), [above])]
+        check_mask_decisions(rs)
+    # most of these patterns are new to the table when they arrive
+    assert late >= rounds, late
 
 
 # ------------------------------------------------------------ system builder

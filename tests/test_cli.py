@@ -373,6 +373,29 @@ def test_malformed_spec_is_domain_error(tmp_path, capsys, text, field):
     assert field in one_line(err)
 
 
+@pytest.mark.parametrize(
+    "lhs,reason",
+    [
+        ({"delta": "x", "avoid": [], "contain": []}, "bad delta 'x'"),
+        (
+            {"delta": "", "avoid": [[]], "contain": []},
+            "the empty permutation may not constrain a restriction",
+        ),
+    ],
+    ids=["bad-delta", "empty-avoided"],
+)
+def test_refused_lhs_names_the_file_and_field(tmp_path, capsys, lhs, reason):
+    # both used to print the bare reason, naming neither the file nor the field
+    first = {"delta": "", "avoid": [[2, 1]], "contain": []}
+    eobjs = [{"lhs": r, "has_one": True, "disjoint": True, "terms": []} for r in (first, lhs)]
+    obj = {"closure_simples": [], "equations": eobjs}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "count", "--spec", str(spec_path), "-N", "5")
+    assert code == 1 and out == ""
+    assert one_line(err) == f"error: system JSON: equations[1].lhs: {reason}"
+
+
 def test_duplicate_equation_is_domain_error(tmp_path, sep_subclass_spec, capsys):
     # a second equation for the class itself used to replace the first
     obj = jsonio.system_to_obj(sep_subclass_spec)

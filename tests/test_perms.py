@@ -26,6 +26,7 @@ from props import (
     check_pattern_order_antisymmetry,
     minus_decomposable,
     plus_decomposable,
+    random_perm,
     simple_by_intervals,
 )
 
@@ -318,10 +319,6 @@ def nested(tree, v=0):
     size, root, base = tree[v]
     kids = range(base, base + len(root)) if root is not None else ()
     return (size, root, tuple(nested(tree, k) for k in kids))
-
-
-def random_perm(rng, n):
-    return ps.Permutation(tuple(rng.sample(range(1, n + 1), n)))
 
 
 def random_deep_perm(rng, n):

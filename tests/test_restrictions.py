@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -21,8 +23,14 @@ from props import (
     check_canonical_form_denotation,
     check_complement_restriction_cover,
     check_complement_term_cover,
+    check_intern_table,
     check_intersection_denotation,
+    check_mask_decisions,
+    check_masks_against_pairs,
     check_subset_sufficient_counts,
+    deletions,
+    random_perm,
+    random_restrictions,
 )
 
 P = ps.perm
@@ -205,18 +213,41 @@ def test_restriction_hash_survives_every_way_of_building_and_copying():
     assert len(set(terms) | {RestrictionTerm(ps.PLUS, (direct, R()))}) == 2
 
 
+def test_mask_decisions_match_pairwise_contains():
+    check_masks_against_pairs(rounds=30, seed=24)
+
+
 def test_restriction_unpickled_in_another_process_rehashes():
     # string hashes differ between processes, so a stored hash must not travel;
-    # delta "+" because the empty string hashes to 0 in every process
+    # delta "+" because the empty string hashes to 0 in every process.  The
+    # child interns other patterns first, so every pattern has another bit
+    # there: masks that travelled would decide wrongly.
     r = R("+", ("132", "2341"), ("21",))
+    others = [R("+", ("21",)), R("+", (), ("1432",)), R("+", ("1243",), ("2143",)), R("+")]
+    others += [R("+", ("2341",), ("21",)), R("+", ("12",), ("13254",))]
+    want = [
+        (ps.subset_sufficient(r, o), ps.subset_sufficient(o, r), provably_empty(meet))
+        for o in others
+        for meet in [ps.intersect_restrictions(r, o)]
+    ]
+    assert {w for row in want for w in row} == {True, False}
     code = (
         "import pickle, sys\n"
-        "from permspec import perm\n"
-        "from permspec.restrictions import RestrictionTerm, restriction\n"
-        "r, t = pickle.loads(sys.stdin.buffer.read())\n"
+        "from permspec import perm, subset_sufficient\n"
+        "from permspec.restrictions import RestrictionTerm, restriction, "
+        "terms_meet_provably_empty\n"
+        "first = restriction('', [perm('54321'), perm('2413'), perm('21')], [perm('35142')])\n"
+        "r, t, others, want = pickle.loads(sys.stdin.buffer.read())\n"
         "fresh = restriction('+', [perm('132'), perm('2341')], [perm('21')])\n"
         "assert hash(r) == hash(fresh) and r in {fresh}\n"
-        "assert t in {RestrictionTerm(perm('12'), (fresh, restriction('')))}\n"
+        "free = restriction('')\n"
+        "assert t in {RestrictionTerm(perm('12'), (fresh, free))}\n"
+        "for x in (r, fresh):\n"
+        "    got = [(subset_sufficient(x, o), subset_sufficient(o, x),\n"
+        "            terms_meet_provably_empty(RestrictionTerm(perm('12'), (x, free)),\n"
+        "                                      RestrictionTerm(perm('12'), (o, free))))\n"
+        "           for o in others]\n"
+        "    assert got == want, (x, got, want)\n"
         "print('ok')\n"
     )
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
@@ -227,10 +258,49 @@ def test_restriction_unpickled_in_another_process_rehashes():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        input=pickle.dumps((r, RestrictionTerm(ps.PLUS, (r, R())))),
+        input=pickle.dumps((r, RestrictionTerm(ps.PLUS, (r, R())), others, want)),
         capture_output=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "ok"
+
+
+def test_concurrent_interning_matches_pairwise_contains():
+    # four threads intern overlapping sets of mostly new patterns at once:
+    # each pattern must be compared with every other exactly, whichever
+    # thread interns it, and every decision must equal the referee's
+    rng = random.Random(2024)
+    bigs = [random_perm(rng, 7) for _ in range(16)]
+    smaller = [rng.choice(deletions(p)) for p in bigs]
+    shared = bigs + smaller + [rng.choice(deletions(p)) for p in smaller]
+    pools = [rng.sample(shared, 24) for _ in range(4)]
+    barrier = threading.Barrier(4, timeout=60)
+    failures = []
+
+    def work(k):
+        try:
+            local = random.Random(k)
+            order = local.sample(pools[k], len(pools[k]))
+            barrier.wait()
+            for p in order:
+                restriction("", (), [p])
+            for _ in range(3):
+                check_mask_decisions(random_restrictions(local, pools[k], 6))
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not failures, failures
+    check_intern_table(set(p for pool in pools for p in pool) | {ps.ONE})
