@@ -146,12 +146,18 @@ def _simples_up_to(basis, bound: int):
     return found
 
 
-def _cmd_specify(args) -> int:
+def _write_system(args, build):
+    """Build the system of the input files, write it to --out and say so."""
     basis, simples = _load_inputs(args)
-    system = specification(basis, simples)
+    system = build(basis, simples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(jsonio.dumps_system(system))
     print(f"wrote {len(system.equations)} equations to {args.out}")
+    return system
+
+
+def _cmd_specify(args) -> int:
+    system = _write_system(args, specification)
     empty = empty_restrictions(system)
     if empty:
         terms = sum(
@@ -164,11 +170,7 @@ def _cmd_specify(args) -> int:
 
 
 def _cmd_ambiguous(args) -> int:
-    basis, simples = _load_inputs(args)
-    system = ambiguous_system(basis, simples)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(jsonio.dumps_system(system))
-    print(f"wrote {len(system.equations)} equations to {args.out}")
+    _write_system(args, ambiguous_system)
     return 0
 
 

@@ -17,11 +17,13 @@ Everything here trades speed for obviousness, except that one step.
 
 Closure members keep the decomposition that admitted them.  The audit reads
 restriction and term members from that table, by size and root: a term scans
-only the members with its root, and a delta skips the root it bars.
+only the members with its root, and a delta skips the root it bars.  The
+audit memoizes (member, pattern) containment only while it runs.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -151,21 +153,15 @@ def _decomposed_closure(
 def member_of_restriction(
     sigma: Permutation, r: Restriction, simples: Iterable[Permutation]
 ) -> bool:
-    """Direct evaluation of the restriction's defining conditions.
-
-    Patterns are searched without the `contains` memo, which would keep
-    every host alive: callers pass sampler draws of any size.
-    """
+    """Direct evaluation of the restriction's defining conditions."""
     if len(sigma) == 0:
         return False
     tree = _closure_tree(sigma, simples)
     if tree is None or _delta_bars(r.delta, tree[0][1]):
         return False
-
-    def has(patt: Permutation) -> bool:
-        return any(True for _ in _occurrence_search(sigma.values, patt.values, False))
-
-    return not any(has(e) for e in r.avoid) and all(has(a) for a in r.contain)
+    return not any(contains(sigma, e) for e in r.avoid) and all(
+        contains(sigma, a) for a in r.contain
+    )
 
 
 @dataclass
@@ -192,7 +188,8 @@ class AuditReport:
 class _Denotations:
     """Size-indexed member sets of restrictions, computed once each, over
     `table[n][root]`: the size-n closure members with that root and their
-    children, in enumeration order."""
+    children, in enumeration order.  Containment of a (member, pattern) pair
+    is memoized for as long as the instance lives, which is one audit."""
 
     def __init__(self, simples: Sequence[Permutation], nmax: int):
         self.table: dict[int, dict[Permutation | None, list[tuple[Permutation, tuple]]]] = {}
@@ -201,10 +198,12 @@ class _Denotations:
             for p, root, kids in level:
                 buckets.setdefault(root, []).append((p, kids))
         self._cache: dict[tuple[Restriction, int], frozenset[Permutation]] = {}
+        self._contains = functools.cache(contains)
 
     def members(self, r: Restriction, n: int) -> frozenset[Permutation]:
         key = (r, n)
         if key not in self._cache:
+            has = self._contains
             # closure membership holds by construction; only the delta and
             # the pattern constraints need testing here
             self._cache[key] = frozenset(
@@ -212,8 +211,7 @@ class _Denotations:
                 for root, bucket in self.table[n].items()
                 if not _delta_bars(r.delta, root)
                 for p, _ in bucket
-                if not any(contains(p, e) for e in r.avoid)
-                and all(contains(p, a) for a in r.contain)
+                if not any(has(p, e) for e in r.avoid) and all(has(p, a) for a in r.contain)
             )
         return self._cache[key]
 

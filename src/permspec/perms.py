@@ -114,10 +114,8 @@ def occurrences(host: Permutation, patt: Permutation) -> set[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=1 << 20)
 def contains(host: Permutation, patt: Permutation) -> bool:
-    """Whether patt occurs as a (classical) pattern of host; memoized, since
-    the restriction algebra and the oracle ask about the same pairs often."""
+    """Whether patt occurs as a (classical) pattern of host."""
     for _ in _occurrence_search(host.values, patt.values, find_all=False):
         return True
     return False

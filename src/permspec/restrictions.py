@@ -34,6 +34,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import InvalidInputError
 from .perms import MINUS, ONE, PLUS, Permutation, contains, is_simple, sort_key
@@ -65,17 +66,24 @@ def _intern(p: Permutation) -> int:
             elif len(q) > len(p) and contains(q, p):
                 above |= 1 << j
         # nothing is written until every comparison has succeeded
-        for j in _ids.values():
-            if below >> j & 1:
-                _above[j] |= bit
-            if above >> j & 1:
-                _below[j] |= bit
+        for j in _bits(below ^ bit):
+            _above[j] |= bit
+        for j in _bits(above ^ bit):
+            _below[j] |= bit
         _patterns.append(p)
         _below.append(below)
         _above.append(above)
         # published last: a pattern's id is only seen with both directions done
         _ids[p] = i
         return i
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mask(patterns) -> int:
@@ -175,14 +183,7 @@ def _canonical(delta: str, avoid: int, contain: int) -> Restriction:
 def _extremes(mask: int, relation: list[int]) -> tuple[Permutation, ...]:
     """The patterns of the mask whose `relation` mask (below or above) meets
     no other of them, in canonical order."""
-    kept = []
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        i = low.bit_length() - 1
-        if relation[i] & mask == low:
-            kept.append(_patterns[i])
+    kept = [_patterns[i] for i in _bits(mask) if relation[i] & mask == 1 << i]
     kept.sort(key=sort_key)
     return tuple(kept)
 

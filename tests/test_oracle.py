@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -97,12 +98,6 @@ def test_members_match_filtered_permutations(basis):
         assert set(members[n]) == want
 
 
-def test_class_members_leave_contains_memo_empty():
-    ps.contains.cache_clear()
-    class_members([P("2413"), P("3142")], 8)
-    assert ps.contains.cache_info().currsize == 0
-
-
 def test_negative_sizes_are_domain_errors(av132_spec, av132_basis):
     for enumerate_up_to in (class_members, ps.enumerate_class, ps.simples_in_class):
         with pytest.raises(InvalidInputError):
@@ -154,11 +149,15 @@ def five_pattern_draws(big_spec):
     return ps.sample_many(ps.build_tables(big_spec, 60), 60, 20, random.Random(60))
 
 
-def test_member_of_restriction_leaves_contains_memo_empty(big_spec, five_pattern_draws):
-    ps.contains.cache_clear()
-    for d in five_pattern_draws:
-        assert member_of_restriction(d, big_spec.root, big_spec.simples)
-    assert ps.contains.cache_info().currsize == 0
+def test_checking_a_draw_keeps_no_reference_to_it(big_spec, big_basis, five_pattern_draws):
+    # a new object, so nothing cached before this test can refer to it
+    host = ps.Permutation(tuple(five_pattern_draws[0]))
+    before = sys.getrefcount(host)
+    for b in big_basis.patterns:
+        assert not ps.contains(host, b)
+        assert ps.avoids(host, b)
+    assert member_of_restriction(host, big_spec.root, big_spec.simples)
+    assert sys.getrefcount(host) == before
 
 
 def test_large_draws_are_checked_against_the_basis(big_spec, big_basis, five_pattern_draws):

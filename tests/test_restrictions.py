@@ -29,6 +29,7 @@ from props import (
     check_masks_against_pairs,
     check_subset_sufficient_counts,
     deletions,
+    insert_point,
     random_perm,
     random_restrictions,
 )
@@ -265,6 +266,20 @@ def test_restriction_unpickled_in_another_process_rehashes():
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().strip() == "ok"
+
+
+def test_interning_many_patterns_of_one_size_matches_pairwise_contains():
+    # most bits of a new pattern's masks are zero when most interned
+    # patterns share its size: the write-back must still reach every
+    # smaller pattern it contains and every larger one containing it
+    rng = random.Random(27)
+    sevens = [random_perm(rng, 7) for _ in range(300)]
+    smaller = [rng.choice(deletions(p)) for p in sevens[:40]]
+    larger = [insert_point(rng, p) for p in sevens[40:80]]
+    patterns = [random_perm(rng, 5) for _ in range(20)] + sevens + smaller + larger
+    for p in patterns:
+        restriction("", (), [p])
+    check_intern_table(set(patterns))
 
 
 def test_concurrent_interning_matches_pairwise_contains():
