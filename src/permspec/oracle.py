@@ -11,9 +11,16 @@ Class members are filtered at the insertion site rather than by a full
 containment search.  The parent already avoids every basis pattern, so a
 child can only contain a pattern beta through an occurrence that uses the
 new maximum n.  Since n is the child's largest entry, such an occurrence maps
-beta's maximum onto n, and the rest of it is an occurrence of beta with its
-maximum deleted in the parent, split by position at the slot where n went.
-Everything here trades speed for obviousness, except that one step.
+beta's maximum onto n, and the rest of it is an occurrence of rest (beta
+with its maximum deleted) in the parent, split by position at the slot where
+n went; so each member's blocked slots form a bit mask.  Rather than search
+every parent for rest, a child inherits its parent's mask, shifted past the
+new entry, and adds only the occurrences of rest that use n: n plays rest's
+maximum, and the other entries are an occurrence of rest2 (rest with its
+maximum deleted too) in the parent that straddles the slot.  Each parent
+thus searches for rest2, two entries shorter than beta, and the last level
+searches for nothing.  Everything here trades speed for obviousness, except
+those two steps.
 
 Closure members keep the decomposition that admitted them.  The audit reads
 restriction and term members from that table, by size and root: a term scans
@@ -24,6 +31,7 @@ audit memoizes (member, pattern) containment only while it runs.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -42,7 +50,7 @@ from .perms import (
     is_simple,
     sort_key,
 )
-from .restrictions import Restriction, RestrictionTerm, _delta_bars
+from .restrictions import Restriction, RestrictionTerm, _bits, _delta_bars
 from .system import EquationSystem
 
 
@@ -56,46 +64,99 @@ def class_members(patterns: Sequence[Permutation], nmax: int) -> dict[int, list[
 
     Each size-n member is a size-(n-1) member p with n inserted at one of
     the slots 0..n-1 (slot s puts n before p's entry at 0-based position s).
-    For a pattern beta whose maximum sits at 0-based index m, every
-    occurrence occ of beta minus its maximum in p blocks the slots
-    occ[m-1]+1 .. occ[m], the ends read as 0 and n-1: inserting n there
-    completes that occurrence to one of beta.  The children of p are its
-    unblocked slots, in slot order, which is the order of inserting n
-    everywhere and keeping the avoiders.  A pattern of size 0 or 1 occurs in
-    every nonempty permutation, so it leaves every level empty.
+    Every member carries a mask whose bit s is set when inserting the next
+    maximum at slot s would complete a basis pattern; its children are its
+    free slots, in slot order, which is the order of inserting n everywhere
+    and keeping the avoiders.  A child's mask is its parent's, shifted up one
+    past the child's slot, plus the ranges that n blocks through occurrences
+    in the parent of a pattern without its two largest values that straddle
+    that slot (`_child_masks`).  So only parents below the last level are
+    searched, each for patterns two entries shorter than the basis.  The
+    walk is depth first on an explicit stack, each parent appending all its
+    children to their level before any of them is expanded, so every level
+    lists its members in that order and only the masks of pending siblings
+    are held.  A pattern of size 0 or 1 occurs in every nonempty
+    permutation, so it leaves every level empty.
     """
     if nmax < 0:
         raise InvalidInputError(f"size must be non-negative, got {nmax}")
-    if any(len(b) <= 1 for b in patterns):
-        return {n: [] for n in range(nmax + 1)}
+    out: dict[int, list[Permutation]] = {n: [] for n in range(nmax + 1)}
+    if nmax == 0 or any(len(b) <= 1 for b in patterns):
+        return out
     cuts = [_insertion_cut(b) for b in patterns]
-    out: dict[int, list[Permutation]] = {0: []}
-    if nmax >= 1:
-        out[1] = [ONE]
-    for n in range(2, nmax + 1):
-        out[n] = [child for p in out[n - 1] for child in _avoiding_children(p, n, cuts)]
+    # the empty permutation, not itself a member, blocks no slot
+    stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    while stack:
+        pv, mask = stack.pop()
+        n = len(pv) + 1
+        free = list(_bits(~mask & ((1 << n) - 1)))
+        kids = [Permutation(pv[:t] + (n,) + pv[t:]) for t in free]
+        out[n] += kids
+        if n < nmax:
+            stack += reversed(list(zip(kids, _child_masks(pv, mask, free, cuts))))
     return out
 
 
-def _insertion_cut(beta: Permutation) -> tuple[tuple[int, ...], int]:
-    """beta's values with its maximum deleted, and the index of the maximum."""
-    m = beta.values.index(len(beta))
-    return beta.values[:m] + beta.values[m + 1 :], m
+def _insertion_cut(beta: Permutation) -> tuple[tuple[int, ...], int, int]:
+    """rest2, beta with its two largest values deleted, the index m2 that
+    beta's second largest value has once its maximum is deleted, and the
+    index m of beta's maximum."""
+    m = beta.index(len(beta))
+    rest = beta[:m] + beta[m + 1 :]
+    m2 = rest.index(len(rest))
+    return rest[:m2] + rest[m2 + 1 :], m2, m
 
 
-def _avoiding_children(
-    p: Permutation, n: int, cuts: Sequence[tuple[tuple[int, ...], int]]
-) -> Iterable[Permutation]:
-    """The permutations p with n inserted that still avoid every pattern."""
-    blocked = [False] * n
-    for rest, m in cuts:
-        for occ in _occurrence_search(p.values, rest, find_all=True):
-            lo = occ[m - 1] + 1 if m > 0 else 0
-            hi = occ[m] if m < len(occ) else n - 1
-            blocked[lo : hi + 1] = [True] * (hi + 1 - lo)
-    for pos in range(n):
-        if not blocked[pos]:
-            yield Permutation(p.values[:pos] + (n,) + p.values[pos:])
+def _child_masks(
+    pv: tuple[int, ...],
+    mask: int,
+    free: list[int],
+    cuts: Sequence[tuple[tuple[int, ...], int, int]],
+) -> list[int]:
+    """The masks of the children of the member pv with this mask, one per
+    free slot t, each the child with n = len(pv) + 1 at slot t.
+
+    For a pattern beta with maximum at index m, every occurrence occ of rest
+    (beta without its maximum) in the child blocks the slots
+    occ[m-1]+1 .. occ[m], the ends read as 0 and n.  An occurrence that
+    misses n is one of pv's, shifted past t; since t was free, none covers
+    slot t or t+1.  One that uses n has n at rest's maximum, index m2, and
+    the rest of it is an occurrence of rest2 in pv that t splits after its
+    first m2 entries, so the blocked range follows from that occurrence and
+    t alone.
+    """
+    size = len(pv)
+    masks = [mask + (mask >> t << t) for t in free]
+    for rest2, m2, m in cuts:
+        last = len(rest2)
+        for occ in _occurrence_search(pv, rest2, True):
+            # the free slots that split occ after its first m2 entries
+            j = bisect_left(free, occ[m2 - 1] + 1) if m2 else 0
+            k = bisect_right(free, occ[m2]) if m2 < last else len(free)
+            if m2 == m:
+                # n ends the range, which starts where that split does
+                base = 1 << (occ[m2 - 1] + 1) if m2 else 1
+                for i in range(j, k):
+                    masks[i] |= (2 << free[i]) - base
+                continue
+            if m2 == m - 1:
+                # n starts the range, which ends at slot occ[m2] + 1
+                top = 4 << occ[m2] if m2 < last else 4 << size
+                for i in range(j, k):
+                    masks[i] |= top - (2 << free[i])
+                continue
+            if m2 > m:
+                # the range lies before n, where pv's slots keep their place
+                lo = occ[m - 1] + 1 if m else 0
+                hi = occ[m]
+            else:
+                # the range lies after n, where pv's slots move up one
+                lo = occ[m - 2] + 2
+                hi = occ[m - 1] + 1 if m - 1 < last else size + 1
+            bits = (2 << hi) - (1 << lo)
+            for i in range(j, k):
+                masks[i] |= bits
+    return masks
 
 
 def simples_in_class(patterns: Sequence[Permutation], maxlen: int) -> set[Permutation]:
@@ -137,9 +198,9 @@ def _decomposed_closure(
     known: set[Permutation] = {ONE}
     for n in range(2, nmax + 1):
         level = []
-        # no pattern blocks a slot, so each parent yields all its children
         for parent, _, _ in out[n - 1]:
-            for p in _avoiding_children(parent, n, ()):
+            for t in range(n):
+                p = Permutation(parent[:t] + (n,) + parent[t:])
                 root, kids = decompose(p)
                 if (root == PLUS or root == MINUS or root in allowed) and all(
                     k in known for k in kids
@@ -244,8 +305,13 @@ def audit_specification(
             if eq.has_one and n == 1:
                 parts.append(("1", frozenset({ONE})))
             for t in eq.terms:
-                bucket = den.table[n].get(t.root, ())
-                hits = frozenset(p for p, kids in bucket if den.in_term(t, t.root, kids))
+                # each child's member sets by size, looked up once per term
+                sets = [[den.members(c, m) for m in range(n)] for c in t.children]
+                hits = frozenset(
+                    p
+                    for p, kids in den.table[n].get(t.root, ())
+                    if all(kid in s[len(kid)] for kid, s in zip(kids, sets))
+                )
                 parts.append((str(t), hits))
             union: set[Permutation] = set()
             total = 0

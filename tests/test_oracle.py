@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -96,6 +97,78 @@ def test_members_match_filtered_permutations(basis):
         want = {q for q in every if all(ps.avoids(q, b) for b in patterns)}
         assert len(set(members[n])) == len(members[n])
         assert set(members[n]) == want
+
+
+# Every single pattern of size 2-4 puts beta's maximum, and the maximum of
+# beta without it, at each end and in between.
+SINGLE_PATTERNS = [
+    (ps.Permutation(v),) for k in (2, 3, 4) for v in itertools.permutations(range(1, k + 1))
+]
+
+
+def _seeded_bases(count=20, seed=28):
+    rng = random.Random(seed)
+
+    def pattern():
+        values = list(range(1, rng.randint(3, 6) + 1))
+        rng.shuffle(values)
+        return ps.Permutation(values)
+
+    return [tuple(pattern() for _ in range(rng.randint(2, 3))) for _ in range(count)]
+
+
+# patterns of size 0 and 1 occur at levels 0 and 1, which no search reaches
+SMALL_PATTERN_BASES = [
+    (),
+    (ps.EMPTY,),
+    (P("1"),),
+    (P("12"), P("21")),
+    (P("1"), P("132")),
+    (ps.EMPTY, P("21")),
+    (P("12"), P("231")),
+    (P("21"), P("123"), P("312")),
+]
+
+ALL_PERMUTATIONS = {
+    n: [ps.Permutation(v) for v in itertools.permutations(range(1, n + 1))] for n in range(8)
+}
+
+
+@functools.cache
+def _containing(beta):
+    """The permutations of size at most 7 that contain beta."""
+    return frozenset(
+        q for level in ALL_PERMUTATIONS.values() for q in level if ps.contains(q, beta)
+    )
+
+
+@pytest.mark.parametrize(
+    "basis",
+    SINGLE_PATTERNS + _seeded_bases() + SMALL_PATTERN_BASES,
+    ids=lambda basis: "-".join(p.compact() or "empty" for p in basis) or "no-patterns",
+)
+def test_members_match_brute_force(basis):
+    members = class_members(basis, 7)
+    for n, level in ALL_PERMUTATIONS.items():
+        want = [q for q in level if n and not any(q in _containing(b) for b in basis)]
+        assert sorted(members[n]) == want
+    for nmax in range(4):
+        assert class_members(basis, nmax) == {n: members[n] for n in range(nmax + 1)}
+
+
+@pytest.mark.parametrize(
+    "pattern, deepest",
+    [("21", ps.Permutation(range(1, 2001))), ("12", ps.Permutation(range(2000, 0, -1)))],
+    ids=["21", "12"],
+)
+def test_deep_levels_stay_cheap(pattern, deepest):
+    # one member per level: a member's blocked slots pass to its child, so
+    # no level searches a 2000-entry permutation
+    start = time.perf_counter()
+    members = class_members([P(pattern)], 2000)
+    elapsed = time.perf_counter() - start
+    assert members[2000] == [deepest]
+    assert elapsed < 3.0, f"class_members to 2000 took {elapsed:.2f} s"
 
 
 def test_negative_sizes_are_domain_errors(av132_spec, av132_basis):
