@@ -20,20 +20,24 @@ maximum, and the other entries are an occurrence of rest2 (rest with its
 maximum deleted too) in the parent that straddles the slot.  Each parent
 thus searches for rest2, two entries shorter than beta, and the last level
 searches for nothing.  Everything here trades speed for obviousness, except
-those two steps.
+those two steps and the growth of avoiders below.
 
 Closure members keep the decomposition that admitted them.  The audit reads
 restriction and term members from that table, by size and root: a term scans
-only the members with its root, and a delta skips the root it bars.  The
-audit memoizes (member, pattern) containment only while it runs.
+only the members with its root, a child column at a time, and a delta skips
+the root it bars.  The closure is closed under removing the maximum too, so
+the closure members avoiding one pattern grow over the closure's own
+generating tree by the same blocked-slot rule, once per pattern an audit
+meets; a restriction's members are then intersections and differences of
+those sets, and the audit runs no containment search.
 """
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -249,32 +253,101 @@ class AuditReport:
 class _Denotations:
     """Size-indexed member sets of restrictions, computed once each, over
     `table[n][root]`: the size-n closure members with that root and their
-    children, in enumeration order.  Containment of a (member, pattern) pair
-    is memoized for as long as the instance lives, which is one audit."""
+    children, in enumeration order.
+
+    Each pattern a restriction names is grown once, level by level, into the
+    closure members that avoid it.  A size-n member p with its maximum at
+    index t avoids a pattern e of size k >= 1 exactly when p without its
+    maximum, q, avoids e and no occurrence of rest (e without its maximum,
+    which sat at index m) in q blocks slot t: an occurrence occ blocks the
+    slots occ[m-1]+1 .. occ[m], the ends read as 0 and len(q), as in
+    `class_members`.  The empty q avoids every such e, and rest's one empty
+    occurrence, when k = 1, blocks the only slot.  A restriction's members
+    are then the closure level its delta leaves, intersected with the
+    avoiders of each avoided pattern, less those of each contained one.
+    """
 
     def __init__(self, simples: Sequence[Permutation], nmax: int):
+        self.nmax = nmax
         self.table: dict[int, dict[Permutation | None, list[tuple[Permutation, tuple]]]] = {}
+        # families[n] maps each size-(n-1) member (the empty permutation for
+        # n = 1) to its size-n children, each with the slot of its maximum
+        self._families: dict[int, dict[tuple[int, ...], list[tuple[int, Permutation]]]] = {}
         for n, level in _decomposed_closure(simples, nmax).items():
             buckets = self.table[n] = {}
+            families = self._families[n] = {}
             for p, root, kids in level:
                 buckets.setdefault(root, []).append((p, kids))
+                t = p.index(n)
+                families.setdefault(p[:t] + p[t + 1 :], []).append((t, p))
+        self._levels: dict[tuple[str, int], frozenset[Permutation]] = {}
+        self._avoiders: dict[Permutation, list[frozenset[Permutation]]] = {}
         self._cache: dict[tuple[Restriction, int], frozenset[Permutation]] = {}
-        self._contains = functools.cache(contains)
+        self._columns: dict[tuple[int, Permutation], tuple[list, list]] = {}
 
     def members(self, r: Restriction, n: int) -> frozenset[Permutation]:
         key = (r, n)
         if key not in self._cache:
-            has = self._contains
-            # closure membership holds by construction; only the delta and
-            # the pattern constraints need testing here
-            self._cache[key] = frozenset(
+            got = self._level(r.delta, n)
+            for e in r.avoid:
+                got &= self._avoiding(e)[n]
+            for a in r.contain:
+                got -= self._avoiding(a)[n]
+            self._cache[key] = got
+        return self._cache[key]
+
+    def below(self, r: Restriction, n: int) -> frozenset[Permutation]:
+        """The members of r smaller than n.  Sets of different sizes are
+        disjoint, so a permutation is in this union exactly when it is in
+        the member set of its own size."""
+        return frozenset().union(*(self.members(r, m) for m in range(n)))
+
+    def _level(self, delta: str, n: int) -> frozenset[Permutation]:
+        """The size-n closure members outside the root that delta bars."""
+        key = (delta, n)
+        if key not in self._levels:
+            self._levels[key] = frozenset(
                 p
                 for root, bucket in self.table[n].items()
-                if not _delta_bars(r.delta, root)
+                if not _delta_bars(delta, root)
                 for p, _ in bucket
-                if not any(has(p, e) for e in r.avoid) and all(has(p, a) for a in r.contain)
             )
-        return self._cache[key]
+        return self._levels[key]
+
+    def _avoiding(self, e: Permutation) -> list[frozenset[Permutation]]:
+        """The closure members avoiding e, by size, grown the first time e
+        is asked for."""
+        if e in self._avoiders:
+            return self._avoiders[e]
+        out: list[frozenset[Permutation]] = [frozenset()]
+        m = e.index(len(e))
+        rest = e[:m] + e[m + 1 :]
+        last = len(rest)
+        prev: set[tuple[int, ...]] = {()}
+        for n in range(1, self.nmax + 1):
+            level: set[Permutation] = set()
+            for q, kids in self._families[n].items():
+                if q not in prev:
+                    continue
+                mask = 0
+                for occ in _occurrence_search(q, rest, True):
+                    lo = occ[m - 1] + 1 if m else 0
+                    hi = occ[m] if m < last else n - 1
+                    mask |= (2 << hi) - (1 << lo)
+                level.update(p for t, p in kids if not mask >> t & 1)
+            out.append(frozenset(level))
+            prev = level
+        self._avoiders[e] = out
+        return out
+
+    def columns(self, n: int, root: Permutation) -> tuple[list[Permutation], list[tuple]]:
+        """The size-n members with this root, and their children as one
+        column per child."""
+        key = (n, root)
+        if key not in self._columns:
+            bucket = self.table[n].get(root, ())
+            self._columns[key] = ([p for p, _ in bucket], list(zip(*(k for _, k in bucket))))
+        return self._columns[key]
 
     def in_term(self, t: RestrictionTerm, root: Permutation | None, kids) -> bool:
         """Whether the member with this root and these children lies in the
@@ -305,13 +378,13 @@ def audit_specification(
             if eq.has_one and n == 1:
                 parts.append(("1", frozenset({ONE})))
             for t in eq.terms:
-                # each child's member sets by size, looked up once per term
-                sets = [[den.members(c, m) for m in range(n)] for c in t.children]
-                hits = frozenset(
-                    p
-                    for p, kids in den.table[n].get(t.root, ())
-                    if all(kid in s[len(kid)] for kid, s in zip(kids, sets))
-                )
+                # the bucket's kids are tested a column at a time
+                members, columns = den.columns(n, t.root)
+                found = [
+                    map(den.below(c, n).__contains__, kids)
+                    for c, kids in zip(t.children, columns)
+                ]
+                hits = frozenset(compress(members, map(all, zip(*found))))
                 parts.append((str(t), hits))
             union: set[Permutation] = set()
             total = 0

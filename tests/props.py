@@ -278,6 +278,20 @@ def sample_restrictions():
     return out
 
 
+def members_by_contains(den, r, n):
+    """The referee for `_Denotations.members`: the size-n closure members
+    outside the root r's delta bars, each tested against every pattern of r
+    by a `contains` search, as the audit filtered them before the avoiders
+    of each pattern were grown."""
+    return frozenset(
+        p
+        for root, bucket in den.table[n].items()
+        if not restrictions._delta_bars(r.delta, root)
+        for p, _ in bucket
+        if not any(ps.contains(p, e) for e in r.avoid) and all(ps.contains(p, a) for a in r.contain)
+    )
+
+
 def check_complement_restriction_cover(nmax=7, simples=("3142",)):
     """Every closure member of the right kind lies in exactly one of a
     restriction and its complement parts."""

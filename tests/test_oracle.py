@@ -12,12 +12,14 @@ import permspec as ps
 from permspec.errors import InvalidInputError
 from permspec.oracle import (
     AuditReport,
+    _Denotations,
     audit_specification,
     class_members,
     closure_members,
     member_of_restriction,
 )
-from permspec.restrictions import Equation, RestrictionTerm, restriction
+from permspec.restrictions import DELTAS, Equation, Restriction, RestrictionTerm, restriction
+from props import members_by_contains
 
 P = ps.perm
 
@@ -192,6 +194,58 @@ def test_members_are_hereditary():
                 assert ps.normalize(vals) in smaller
 
 
+# the simple sets whose closures restriction members are grown over
+MEMBER_SIMPLES = [(), ("3142",), ("2413", "3142"), ("3142", "41352")]
+
+
+def _seeded_restrictions(seed, per_delta=10):
+    """Restrictions of every delta avoiding up to three and containing up to
+    two patterns of size 1-5, each as drawn and in canonical form."""
+    rng = random.Random(seed)
+
+    def side(most):
+        out = []
+        for _ in range(rng.randint(0, most)):
+            values = list(range(1, rng.randint(1, 5) + 1))
+            rng.shuffle(values)
+            out.append(ps.Permutation(values))
+        return tuple(out)
+
+    drawn = []
+    for delta in DELTAS:
+        for _ in range(per_delta):
+            avoid, contain = side(3), side(2)
+            drawn += [Restriction(delta, avoid, contain), restriction(delta, avoid, contain)]
+    return drawn
+
+
+MEMBER_CASES = [(simples, 7, 10) for simples in MEMBER_SIMPLES] + [(("3142",), 8, 3)]
+
+
+@pytest.mark.parametrize(
+    "simples, nmax, per_delta",
+    MEMBER_CASES,
+    ids=[f"{'-'.join(s) or 'no-simples'}-to-{n}" for s, n, _ in MEMBER_CASES],
+)
+def test_members_match_the_contains_filter(simples, nmax, per_delta):
+    den = _Denotations([P(s) for s in simples], nmax)
+    for r in _seeded_restrictions(len(simples) + nmax, per_delta):
+        for n in range(nmax + 1):
+            assert den.members(r, n) == members_by_contains(den, r, n), (r, n)
+
+
+def test_members_at_the_smallest_sizes():
+    # 1 on either side, and patterns longer than nmax
+    patterns = [P("1"), P("21"), P("132"), P("2413"), P("31524")]
+    sides = [()] + [(p,) for p in patterns]
+    for nmax in (0, 1, 2):
+        den = _Denotations([P("3142")], nmax)
+        for delta, avoid, contain in itertools.product(DELTAS, sides, sides):
+            r = Restriction(delta, avoid, contain)
+            for n in range(nmax + 1):
+                assert den.members(r, n) == members_by_contains(den, r, n), (r, n)
+
+
 def test_simples_fixtures():
     big = [P(x) for x in ("1243", "2341", "2413", "41352", "531642")]
     assert ps.simples_in_class(big, 8) == {P("3142")}
@@ -246,6 +300,18 @@ def test_audit_clean_on_av132(av132_spec, av132_basis):
     report = audit_specification(av132_spec, av132_basis.patterns, 7)
     assert report.passed, str(report)
     assert report.equations_checked == 5
+
+
+def test_audit_runs_no_containment_search(
+    monkeypatch, big_spec, big_basis, av132_spec, av132_basis
+):
+    def refuse(*args):
+        raise AssertionError("the audit searched for a pattern")
+
+    monkeypatch.setattr("permspec.oracle.contains", refuse)
+    for spec, basis in ((big_spec, big_basis), (av132_spec, av132_basis)):
+        report = audit_specification(spec, basis.patterns, 7)
+        assert report.passed, str(report)
 
 
 def test_audit_flags_forged_disjointness(sep_subclass_basis, no_simples):
