@@ -7,29 +7,20 @@ trees and the Catalan and Schröder numbers*, 1995), and both kinds of set are
 closed under removing the maximum, so filtering candidates by the defining
 predicate is exhaustive.
 
-Class members are filtered at the insertion site rather than by a full
-containment search.  The parent already avoids every basis pattern, so a
-child can only contain a pattern beta through an occurrence that uses the
-new maximum n.  Since n is the child's largest entry, such an occurrence maps
-beta's maximum onto n, and the rest of it is an occurrence of rest (beta
-with its maximum deleted) in the parent, split by position at the slot where
-n went; so each member's blocked slots form a bit mask.  Rather than search
-every parent for rest, a child inherits its parent's mask, shifted past the
-new entry, and adds only the occurrences of rest that use n: n plays rest's
-maximum, and the other entries are an occurrence of rest2 (rest with its
-maximum deleted too) in the parent that straddles the slot.  Each parent
-thus searches for rest2, two entries shorter than beta, and the last level
-searches for nothing.  Everything here trades speed for obviousness, except
-those two steps and the growth of avoiders below.
+Avoiders are filtered at the insertion site rather than by a full
+containment search.  A member avoiding a pattern beta has a child containing
+beta only through an occurrence that uses the new maximum n, which plays
+beta's maximum; so each member's blocked slots form a bit mask, which its
+children inherit and extend (`_child_masks`).  One walk (`_grow`) applies
+this rule to the class's members and to the closure members avoiding each
+pattern an audit meets.  Everything here trades speed for obviousness,
+except that rule.
 
 Closure members keep the decomposition that admitted them.  The audit reads
 restriction and term members from that table, by size and root: a term scans
 only the members with its root, a child column at a time, and a delta skips
-the root it bars.  The closure is closed under removing the maximum too, so
-the closure members avoiding one pattern grow over the closure's own
-generating tree by the same blocked-slot rule, once per pattern an audit
-meets; a restriction's members are then intersections and differences of
-those sets, and the audit runs no containment search.
+the root it bars.  A restriction's members are intersections and differences
+of the avoider sets, and the audit runs no containment search.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
 from .perms import (
@@ -46,7 +37,6 @@ from .perms import (
     ONE,
     PLUS,
     Permutation,
-    _allowed_simples,
     _closure_tree,
     _occurrence_search,
     contains,
@@ -55,7 +45,7 @@ from .perms import (
     sort_key,
 )
 from .restrictions import Restriction, RestrictionTerm, _bits, _delta_bars
-from .system import EquationSystem
+from .system import EquationSystem, simple_set
 
 
 def enumerate_class(patterns: Sequence[Permutation], n: int) -> list[Permutation]:
@@ -64,26 +54,31 @@ def enumerate_class(patterns: Sequence[Permutation], n: int) -> list[Permutation
 
 
 def class_members(patterns: Sequence[Permutation], nmax: int) -> dict[int, list[Permutation]]:
-    """Members of the class for every size up to nmax.
-
-    Each size-n member is a size-(n-1) member p with n inserted at one of
-    the slots 0..n-1 (slot s puts n before p's entry at 0-based position s).
-    Every member carries a mask whose bit s is set when inserting the next
-    maximum at slot s would complete a basis pattern; its children are its
-    free slots, in slot order, which is the order of inserting n everywhere
-    and keeping the avoiders.  A child's mask is its parent's, shifted up one
-    past the child's slot, plus the ranges that n blocks through occurrences
-    in the parent of a pattern without its two largest values that straddle
-    that slot (`_child_masks`).  So only parents below the last level are
-    searched, each for patterns two entries shorter than the basis.  The
-    walk is depth first on an explicit stack, each parent appending all its
-    children to their level before any of them is expanded, so every level
-    lists its members in that order and only the masks of pending siblings
-    are held.  A pattern of size 0 or 1 occurs in every nonempty
-    permutation, so it leaves every level empty.
-    """
+    """Members of the class for every size up to nmax, grown by the
+    blocked-slot rule (`_child_masks`) with every slot open (`_grow`)."""
     if nmax < 0:
         raise InvalidInputError(f"size must be non-negative, got {nmax}")
+    return _grow(patterns, nmax, lambda pv: (2 << len(pv)) - 1)
+
+
+def _grow(
+    patterns: Sequence[Permutation], nmax: int, slots: Callable[[tuple[int, ...]], int]
+) -> dict[int, list[Permutation]]:
+    """The permutations up to size nmax that avoid every pattern and are
+    reached from the empty one by inserting each next maximum n at a slot
+    that slots(pv), a bit mask, opens in the parent pv (slot s puts n before
+    pv's entry at 0-based position s).
+
+    Every member carries the mask of the slots where the next maximum would
+    complete a pattern (`_child_masks`); its children are its open slots
+    that no pattern blocks, in slot order.  The walk is depth first on an
+    explicit stack, each parent appending all its children to their level
+    before any of them is expanded, so every level lists its members in the
+    order of taking each parent of the level below in turn and inserting n
+    at every open slot, and only the masks of pending siblings are held.  A
+    pattern of size 0 or 1 occurs in every nonempty permutation, so it
+    leaves every level empty.
+    """
     out: dict[int, list[Permutation]] = {n: [] for n in range(nmax + 1)}
     if nmax == 0 or any(len(b) <= 1 for b in patterns):
         return out
@@ -93,8 +88,9 @@ def class_members(patterns: Sequence[Permutation], nmax: int) -> dict[int, list[
     while stack:
         pv, mask = stack.pop()
         n = len(pv) + 1
-        free = list(_bits(~mask & ((1 << n) - 1)))
-        kids = [Permutation(pv[:t] + (n,) + pv[t:]) for t in free]
+        free = list(_bits(slots(pv) & ~mask))
+        # inserting n into a permutation of 1..n-1 gives one of 1..n
+        kids = [tuple.__new__(Permutation, pv[:t] + (n,) + pv[t:]) for t in free]
         out[n] += kids
         if n < nmax:
             stack += reversed(list(zip(kids, _child_masks(pv, mask, free, cuts))))
@@ -120,14 +116,20 @@ def _child_masks(
     """The masks of the children of the member pv with this mask, one per
     free slot t, each the child with n = len(pv) + 1 at slot t.
 
-    For a pattern beta with maximum at index m, every occurrence occ of rest
-    (beta without its maximum) in the child blocks the slots
-    occ[m-1]+1 .. occ[m], the ends read as 0 and n.  An occurrence that
-    misses n is one of pv's, shifted past t; since t was free, none covers
-    slot t or t+1.  One that uses n has n at rest's maximum, index m2, and
-    the rest of it is an occurrence of rest2 in pv that t splits after its
-    first m2 entries, so the blocked range follows from that occurrence and
-    t alone.
+    A member's mask has bit s set when inserting the next maximum at slot s
+    would complete a pattern beta.  That maximum would play beta's maximum,
+    at index m, and the rest of the occurrence would be an occurrence occ of
+    rest (beta without its maximum) in the member that slot s splits after
+    its first m entries: occ blocks the slots occ[m-1]+1 .. occ[m], the ends
+    read as 0 and the member's size.  In the child, an occurrence of rest
+    that misses n is one of pv's, shifted past t; since t was free, none
+    covers slot t or t+1, so the child inherits pv's mask with the bits from
+    t up shifted by one.  One that uses n has n at rest's maximum, index m2,
+    and the rest of it is an occurrence of rest2 (rest without its maximum)
+    in pv that t splits after its first m2 entries, so the blocked range
+    follows from that occurrence and t alone.  Each parent thus searches
+    for rest2, two entries shorter than beta, and the last level searches
+    for nothing.
     """
     size = len(pv)
     masks = [mask + (mask >> t << t) for t in free]
@@ -195,7 +197,10 @@ def _decomposed_closure(
     smaller, hence already enumerated."""
     if nmax < 0:
         raise InvalidInputError(f"size must be non-negative, got {nmax}")
-    allowed = _allowed_simples(simples)
+    # a member less its maximum stays in the closure only if the set is
+    # closed under simple patterns, so refuse one that is not, as a spec
+    # file's would be
+    allowed = set(simple_set(simples).simples)
     out: dict[int, list] = {0: []}
     if nmax >= 1:
         out[1] = [(ONE, None, ())]
@@ -204,7 +209,8 @@ def _decomposed_closure(
         level = []
         for parent, _, _ in out[n - 1]:
             for t in range(n):
-                p = Permutation(parent[:t] + (n,) + parent[t:])
+                # inserting n into a permutation of 1..n-1 gives one of 1..n
+                p = tuple.__new__(Permutation, parent[:t] + (n,) + parent[t:])
                 root, kids = decompose(p)
                 if (root == PLUS or root == MINUS or root in allowed) and all(
                     k in known for k in kids
@@ -255,31 +261,26 @@ class _Denotations:
     `table[n][root]`: the size-n closure members with that root and their
     children, in enumeration order.
 
-    Each pattern a restriction names is grown once, level by level, into the
-    closure members that avoid it.  A size-n member p with its maximum at
-    index t avoids a pattern e of size k >= 1 exactly when p without its
-    maximum, q, avoids e and no occurrence of rest (e without its maximum,
-    which sat at index m) in q blocks slot t: an occurrence occ blocks the
-    slots occ[m-1]+1 .. occ[m], the ends read as 0 and len(q), as in
-    `class_members`.  The empty q avoids every such e, and rest's one empty
-    occurrence, when k = 1, blocks the only slot.  A restriction's members
-    are then the closure level its delta leaves, intersected with the
-    avoiders of each avoided pattern, less those of each contained one.
+    Each pattern a restriction names is grown once, by `_grow` over the
+    closure's own insertion slots, into the closure members that avoid it.
+    A restriction's members are then the closure level its delta leaves,
+    intersected with the avoiders of each avoided pattern, less those of
+    each contained one.
     """
 
     def __init__(self, simples: Sequence[Permutation], nmax: int):
         self.nmax = nmax
         self.table: dict[int, dict[Permutation | None, list[tuple[Permutation, tuple]]]] = {}
-        # families[n] maps each size-(n-1) member (the empty permutation for
-        # n = 1) to its size-n children, each with the slot of its maximum
-        self._families: dict[int, dict[tuple[int, ...], list[tuple[int, Permutation]]]] = {}
+        # each member below nmax (and the empty permutation) mapped to the
+        # mask of the slots where inserting the next maximum stays in the closure
+        self._slots: dict[tuple[int, ...], int] = {}
         for n, level in _decomposed_closure(simples, nmax).items():
             buckets = self.table[n] = {}
-            families = self._families[n] = {}
             for p, root, kids in level:
                 buckets.setdefault(root, []).append((p, kids))
                 t = p.index(n)
-                families.setdefault(p[:t] + p[t + 1 :], []).append((t, p))
+                q = p[:t] + p[t + 1 :]
+                self._slots[q] = self._slots.get(q, 0) | 1 << t
         self._levels: dict[tuple[str, int], frozenset[Permutation]] = {}
         self._avoiders: dict[Permutation, list[frozenset[Permutation]]] = {}
         self._cache: dict[tuple[Restriction, int], frozenset[Permutation]] = {}
@@ -316,29 +317,12 @@ class _Denotations:
 
     def _avoiding(self, e: Permutation) -> list[frozenset[Permutation]]:
         """The closure members avoiding e, by size, grown the first time e
-        is asked for."""
-        if e in self._avoiders:
-            return self._avoiders[e]
-        out: list[frozenset[Permutation]] = [frozenset()]
-        m = e.index(len(e))
-        rest = e[:m] + e[m + 1 :]
-        last = len(rest)
-        prev: set[tuple[int, ...]] = {()}
-        for n in range(1, self.nmax + 1):
-            level: set[Permutation] = set()
-            for q, kids in self._families[n].items():
-                if q not in prev:
-                    continue
-                mask = 0
-                for occ in _occurrence_search(q, rest, True):
-                    lo = occ[m - 1] + 1 if m else 0
-                    hi = occ[m] if m < last else n - 1
-                    mask |= (2 << hi) - (1 << lo)
-                level.update(p for t, p in kids if not mask >> t & 1)
-            out.append(frozenset(level))
-            prev = level
-        self._avoiders[e] = out
-        return out
+        is asked for by the blocked-slot rule (`_child_masks`) over the
+        closure's own insertion slots (`_grow`)."""
+        if e not in self._avoiders:
+            grown = _grow((e,), self.nmax, self._slots.__getitem__)
+            self._avoiders[e] = [frozenset(grown[n]) for n in range(self.nmax + 1)]
+        return self._avoiders[e]
 
     def columns(self, n: int, root: Permutation) -> tuple[list[Permutation], list[tuple]]:
         """The size-n members with this root, and their children as one

@@ -234,6 +234,29 @@ def test_members_match_the_contains_filter(simples, nmax, per_delta):
             assert den.members(r, n) == members_by_contains(den, r, n), (r, n)
 
 
+@pytest.mark.parametrize("simples", [("3142",), ("3142", "41352")], ids="-".join)
+def test_each_single_pattern_grows_the_contains_filter(simples):
+    # every pattern of size 2-4, alone on either side, drives each of the
+    # four ways `_child_masks` places a blocked range over the closure
+    den = _Denotations([P(s) for s in simples], 7)
+    for (e,) in SINGLE_PATTERNS:
+        for r in (Restriction("", (e,), ()), Restriction("", (), (e,))):
+            for n in range(8):
+                assert den.members(r, n) == members_by_contains(den, r, n), (r, n)
+
+
+def test_closure_of_a_set_missing_a_simple_pattern_is_refused():
+    # 246135 without its maximum is 24135, whose prime node 2413 the set
+    # lacks, so its closure would miss 246135 itself
+    for grow in (closure_members, _Denotations):
+        with pytest.raises(InvalidInputError, match="2 4 1 3 is a simple pattern of 2 4 6 1 3 5"):
+            grow([P("246135")], 6)
+    simples = [P("2413"), P("246135")]
+    want = {p for p in ALL_PERMUTATIONS[6] if ps.in_closure(p, simples)}
+    assert P("246135") in want
+    assert set(closure_members(simples, 6)[6]) == want
+
+
 def test_members_at_the_smallest_sizes():
     # 1 on either side, and patterns longer than nmax
     patterns = [P("1"), P("21"), P("132"), P("2413"), P("31524")]
