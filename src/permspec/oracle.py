@@ -1,26 +1,24 @@
 """Brute-force ground truth used to verify every other stage on small sizes.
 
-Class and closure members are enumerated incrementally: inserting the new
-maximum value into a member of size n-1 in every possible way produces each
-size-n permutation exactly once (the generating tree of West, *Generating
-trees and the Catalan and Schröder numbers*, 1995), and both kinds of set are
-closed under removing the maximum, so filtering candidates by the defining
-predicate is exhaustive.
+Class members are enumerated incrementally: inserting the new maximum into a
+member of size n-1 in every possible way produces each size-n permutation
+exactly once (the generating tree of West, *Generating trees and the Catalan
+and Schröder numbers*, 1995), and a class is closed under removing the
+maximum, so filtering the candidates is exhaustive.  The filter works at the
+insertion site: a member avoiding a pattern beta has a child containing beta
+only through an occurrence in which the new maximum plays beta's maximum,
+so each member's blocked slots form a bit mask that its children inherit and
+extend (`_child_masks`).  One walk (`_grow`) applies this rule to the class
+and to the closure members avoiding each pattern an audit meets.
 
-Avoiders are filtered at the insertion site rather than by a full
-containment search.  A member avoiding a pattern beta has a child containing
-beta only through an occurrence that uses the new maximum n, which plays
-beta's maximum; so each member's blocked slots form a bit mask, which its
-children inherit and extend (`_child_masks`).  One walk (`_grow`) applies
-this rule to the class's members and to the closure members avoiding each
-pattern an audit meets.  Everything here trades speed for obviousness,
-except that rule.
-
-Closure members keep the decomposition that admitted them.  The audit reads
-restriction and term members from that table, by size and root: a term scans
-only the members with its root, a child column at a time, and a delta skips
-the root it bars.  A restriction's members are intersections and differences
-of the avoider sets, and the audit runs no containment search.
+Closure members are built, not filtered: each is exactly once an inflation
+plus[a, b], minus[a, b] or s[k_1, ..., k_k] of smaller members (Albert &
+Atkinson 2005), so it comes with its decomposition and nothing is decomposed.
+Each level is then sorted back into the generating-tree order, which every
+enumeration here documents and the tests pin.  The audit reads restriction
+and term members from that table, by size and root; a restriction's members
+are intersections and differences of avoider sets, and the audit runs no
+containment search.
 """
 
 from __future__ import annotations
@@ -28,7 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import cache
+from itertools import chain, combinations, compress, pairwise, product
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
@@ -40,11 +39,10 @@ from .perms import (
     _closure_tree,
     _occurrence_search,
     contains,
-    decompose,
     is_simple,
     sort_key,
 )
-from .restrictions import Restriction, RestrictionTerm, _bits, _delta_bars
+from .restrictions import Restriction, _bits, _delta_bars
 from .system import EquationSystem, simple_set
 
 
@@ -67,15 +65,11 @@ def _grow(
     """The permutations up to size nmax that avoid every pattern and are
     reached from the empty one by inserting each next maximum n at a slot
     that slots(pv), a bit mask, opens in the parent pv (slot s puts n before
-    pv's entry at 0-based position s).
-
-    Every member carries the mask of the slots where the next maximum would
-    complete a pattern (`_child_masks`); its children are its open slots
-    that no pattern blocks, in slot order.  The walk is depth first on an
-    explicit stack, each parent appending all its children to their level
-    before any of them is expanded, so every level lists its members in the
-    order of taking each parent of the level below in turn and inserting n
-    at every open slot, and only the masks of pending siblings are held.  A
+    pv's entry at 0-based position s) and that no pattern blocks there
+    (`_child_masks`).  The walk is depth first on an explicit stack, each
+    parent appending all its children to their level before any of them is
+    expanded, so every level is in generating-tree order (parent by parent,
+    slot by slot), and only the masks of pending siblings are held.  A
     pattern of size 0 or 1 occurs in every nonempty permutation, so it
     leaves every level empty.
     """
@@ -184,41 +178,49 @@ def _simples_certified(simples: Iterable[Permutation], maxlen: int) -> bool:
 
 
 def closure_members(simples: Iterable[Permutation], nmax: int) -> dict[int, list[Permutation]]:
-    """Members of the substitution closure for every size up to nmax."""
-    return {n: [p for p, _, _ in level] for n, level in _decomposed_closure(simples, nmax).items()}
+    """The substitution closure's members up to size nmax, in generating-tree order."""
+    return {n: [p for p, _, _ in lv] for n, lv in _decomposed_closure(simples, nmax)[0].items()}
 
 
-def _decomposed_closure(
-    simples: Iterable[Permutation], nmax: int
-) -> dict[int, list[tuple[Permutation, Permutation | None, tuple[Permutation, ...]]]]:
-    """closure_members, each member as (member, root, children) of its
-    one-level decomposition, root None at size 1.  A candidate is a member
-    iff its root is allowed and all its children are members; children are
-    smaller, hence already enumerated."""
+def _decomposed_closure(simples: Iterable[Permutation], nmax: int) -> tuple[dict, dict]:
+    """closure_members as (member, root, children), root None at size 1, and
+    the mask of slots open to the next maximum (`_grow`) of each member below
+    nmax.  Level n holds each member once, as its canonical decomposition
+    s[k_1..k_k] (Albert & Atkinson 2005), built from the levels below for
+    every root s and choice of children.  It is sorted by the index in level
+    n-1 of the member less n, then the slot of n; the member less n is in the
+    closure, as `simple_set` refuses a set not closed under simple patterns."""
     if nmax < 0:
         raise InvalidInputError(f"size must be non-negative, got {nmax}")
-    # a member less its maximum stays in the closure only if the set is
-    # closed under simple patterns, so refuse one that is not, as a spec
-    # file's would be
-    allowed = set(simple_set(simples).simples)
-    out: dict[int, list] = {0: []}
-    if nmax >= 1:
-        out[1] = [(ONE, None, ())]
-    known: set[Permutation] = {ONE}
+    roots = (PLUS, MINUS, *simple_set(simples).simples)
+    levels = {0: [], 1: [(ONE, None, ())]}
+    slots = {(): 1}
+
+    @cache
+    def block(m, by, bar):
+        """The size-m members whose root is not bar, every value raised by `by`."""
+        return [tuple([x + by for x in p]) if by else p for p, r, _ in levels[m] if r != bar]
+
     for n in range(2, nmax + 1):
-        level = []
-        for parent, _, _ in out[n - 1]:
-            for t in range(n):
-                # inserting n into a permutation of 1..n-1 gives one of 1..n
-                p = tuple.__new__(Permutation, parent[:t] + (n,) + parent[t:])
-                root, kids = decompose(p)
-                if (root == PLUS or root == MINUS or root in allowed) and all(
-                    k in known for k in kids
-                ):
-                    level.append((p, root, kids))
-        known.update(p for p, _, _ in level)
-        out[n] = level
-    return out
+        index = {p: i * n for i, (p, _, _) in enumerate(levels[n - 1])}
+        placed = [None] * (len(index) * n)
+        for s in roots:
+            # the first child of a plus (minus) node is not one; 0 bars no root
+            bars = [s if len(s) == 2 else 0] + [0] * n
+            for cuts in combinations(range(1, n), len(s) - 1):
+                sizes = [hi - lo for lo, hi in pairwise((0, *cuts, n))]
+                # a child's values lie above those of the children at smaller root values
+                lift = [sum(z for z, v in zip(sizes, s) if v < w) for w in s]
+                kids = product(*map(block, sizes, [0] * n, bars))
+                for ks, part in zip(kids, product(*map(block, sizes, lift, bars))):
+                    # an inflation of permutations is a permutation, so none is checked
+                    p = tuple.__new__(Permutation, chain.from_iterable(part))
+                    t = p.index(n)
+                    q = p[:t] + p[t + 1 :]
+                    placed[index[q] + t] = p, s, ks
+                    slots[q] = slots.get(q, 0) | 1 << t
+        levels[n] = list(filter(None, placed))
+    return {n: levels[n] for n in range(nmax + 1)}, slots
 
 
 def member_of_restriction(
@@ -258,8 +260,8 @@ class AuditReport:
 
 class _Denotations:
     """Size-indexed member sets of restrictions, computed once each, over
-    `table[n][root]`: the size-n closure members with that root and their
-    children, in enumeration order.
+    `table[n][root]`: the size-n closure members with that root, as (member,
+    root, children), in enumeration order.
 
     Each pattern a restriction names is grown once, by `_grow` over the
     closure's own insertion slots, into the closure members that avoid it.
@@ -270,17 +272,11 @@ class _Denotations:
 
     def __init__(self, simples: Sequence[Permutation], nmax: int):
         self.nmax = nmax
-        self.table: dict[int, dict[Permutation | None, list[tuple[Permutation, tuple]]]] = {}
-        # each member below nmax (and the empty permutation) mapped to the
-        # mask of the slots where inserting the next maximum stays in the closure
-        self._slots: dict[tuple[int, ...], int] = {}
-        for n, level in _decomposed_closure(simples, nmax).items():
-            buckets = self.table[n] = {}
-            for p, root, kids in level:
-                buckets.setdefault(root, []).append((p, kids))
-                t = p.index(n)
-                q = p[:t] + p[t + 1 :]
-                self._slots[q] = self._slots.get(q, 0) | 1 << t
+        levels, self._slots = _decomposed_closure(simples, nmax)
+        self.table: dict[int, dict[Permutation | None, list[tuple]]] = {n: {} for n in levels}
+        for n, level in levels.items():
+            for entry in level:
+                self.table[n].setdefault(entry[1], []).append(entry)
         self._levels: dict[tuple[str, int], frozenset[Permutation]] = {}
         self._avoiders: dict[Permutation, list[frozenset[Permutation]]] = {}
         self._cache: dict[tuple[Restriction, int], frozenset[Permutation]] = {}
@@ -311,7 +307,7 @@ class _Denotations:
                 p
                 for root, bucket in self.table[n].items()
                 if not _delta_bars(delta, root)
-                for p, _ in bucket
+                for p, _, _ in bucket
             )
         return self._levels[key]
 
@@ -330,15 +326,8 @@ class _Denotations:
         key = (n, root)
         if key not in self._columns:
             bucket = self.table[n].get(root, ())
-            self._columns[key] = ([p for p, _ in bucket], list(zip(*(k for _, k in bucket))))
+            self._columns[key] = ([p for p, _, _ in bucket], list(zip(*(k for _, _, k in bucket))))
         return self._columns[key]
-
-    def in_term(self, t: RestrictionTerm, root: Permutation | None, kids) -> bool:
-        """Whether the member with this root and these children lies in the
-        inflation that t denotes."""
-        return root == t.root and all(
-            kid in self.members(child, len(kid)) for kid, child in zip(kids, t.children)
-        )
 
 
 def audit_specification(

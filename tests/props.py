@@ -287,8 +287,16 @@ def members_by_contains(den, r, n):
         p
         for root, bucket in den.table[n].items()
         if not restrictions._delta_bars(r.delta, root)
-        for p, _ in bucket
+        for p, _, _ in bucket
         if not any(ps.contains(p, e) for e in r.avoid) and all(ps.contains(p, a) for a in r.contain)
+    )
+
+
+def in_term(den, t, root, kids):
+    """Whether the closure member with this root and these children lies in
+    the inflation that the term t denotes over `_Denotations` den."""
+    return root == t.root and all(
+        kid in den.members(child, len(kid)) for kid, child in zip(kids, t.children)
     )
 
 
@@ -300,7 +308,7 @@ def check_complement_restriction_cover(nmax=7, simples=("3142",)):
     for r in sample_restrictions():
         parts = (r,) + ps.complement_restriction(r)
         for n in range(1, nmax + 1):
-            for p, _ in (m for bucket in den.table[n].values() for m in bucket):
+            for p, _, _ in (m for bucket in den.table[n].values() for m in bucket):
                 if r.delta == "+" and plus_decomposable(p):
                     continue
                 if r.delta == "-" and minus_decomposable(p):
@@ -323,8 +331,8 @@ def check_complement_term_cover(nmax=7, simples=()):
     for t in terms:
         parts = (t,) + ps.complement_term(t)
         for n in range(2, nmax + 1):
-            for p, kids in den.table[n].get(t.root, ()):
-                hits = sum(den.in_term(part, t.root, kids) for part in parts)
+            for p, _, kids in den.table[n].get(t.root, ()):
+                hits = sum(in_term(den, part, t.root, kids) for part in parts)
                 assert hits == 1, (t, p, hits)
 
 
@@ -532,9 +540,9 @@ def check_add_constraints_semantics(nmax=8, gmax=4, simples=("3142",)):
         for g in gammas:
             rewritten = ps.add_constraints(t, g)
             for n in range(2, nmax + 1):
-                for p, kids in den.table[n].get(t.root, ()):
-                    in_lhs = den.in_term(t, t.root, kids) and not ps.contains(p, g)
-                    in_union = any(den.in_term(u, t.root, kids) for u in rewritten)
+                for p, _, kids in den.table[n].get(t.root, ()):
+                    in_lhs = in_term(den, t, t.root, kids) and not ps.contains(p, g)
+                    in_union = any(in_term(den, u, t.root, kids) for u in rewritten)
                     assert in_lhs == in_union, (t, g, p)
 
 
@@ -554,9 +562,9 @@ def check_add_mandatory_semantics(nmax=7, gmax=4, simples=("3142",)):
         for g in gammas:
             rewritten = ps.add_mandatory(t, g)
             for n in range(2, nmax + 1):
-                for p, kids in den.table[n].get(t.root, ()):
-                    in_lhs = den.in_term(t, t.root, kids) and ps.contains(p, g)
-                    in_union = any(den.in_term(u, t.root, kids) for u in rewritten)
+                for p, _, kids in den.table[n].get(t.root, ()):
+                    in_lhs = in_term(den, t, t.root, kids) and ps.contains(p, g)
+                    in_union = any(in_term(den, u, t.root, kids) for u in rewritten)
                     assert in_lhs == in_union, (t, g, p)
 
 
@@ -586,7 +594,7 @@ def check_group_expansion_cover(nmax=7, simples=()):
     expanded = _disambiguate_group((t1, t2))
     for n in range(2, nmax + 1):
         for root, bucket in den.table[n].items():
-            for p, kids in bucket:
-                before = den.in_term(t1, root, kids) or den.in_term(t2, root, kids)
-                hits = sum(den.in_term(u, root, kids) for u in expanded)
+            for p, _, kids in bucket:
+                before = in_term(den, t1, root, kids) or in_term(den, t2, root, kids)
+                hits = sum(in_term(den, u, root, kids) for u in expanded)
                 assert hits == (1 if before else 0), (p, hits)

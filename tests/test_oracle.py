@@ -12,6 +12,7 @@ import permspec as ps
 from permspec.errors import InvalidInputError
 from permspec.oracle import (
     AuditReport,
+    _decomposed_closure,
     _Denotations,
     audit_specification,
     class_members,
@@ -81,6 +82,55 @@ def test_closure_lists_are_pinned(simples):
     members = closure_members([P(s) for s in simples], 8)
     digest = hashlib.sha256(member_lists_text(members).encode()).hexdigest()
     assert digest == CLOSURE_LISTS_SHA256[simples]
+
+
+def _closure_by_insertion(simples, nmax):
+    """The referee for `_decomposed_closure`: the new maximum inserted at
+    every slot of every member of the level below, each candidate kept when
+    `decompose` finds an allowed root and children already kept."""
+    allowed = {ps.PLUS, ps.MINUS, *simples}
+    levels = {0: [], 1: [(ps.ONE, None, ())]}
+    known = {ps.ONE}
+    for n in range(2, nmax + 1):
+        levels[n] = []
+        for parent, _, _ in levels[n - 1]:
+            for t in range(n):
+                p = ps.Permutation(parent[:t] + (n,) + parent[t:])
+                root, kids = ps.decompose(p)
+                if root in allowed and all(k in known for k in kids):
+                    levels[n].append((p, root, kids))
+        known.update(p for p, _, _ in levels[n])
+    return {n: levels[n] for n in range(nmax + 1)}
+
+
+@pytest.mark.parametrize(
+    "simples",
+    [(), ("3142",), ("3142", "41352"), ("2413", "3142", "24153")],
+    ids=lambda s: "-".join(s) or "no-simples",
+)
+def test_closure_built_from_inflations_matches_the_insertion_referee(simples):
+    ss = [P(s) for s in simples]
+    levels, slots = _decomposed_closure(ss, 8)
+    want = _closure_by_insertion(ss, 8)
+    # the same members, roots and children, in the same order
+    assert levels == want
+    assert all(type(p) is ps.Permutation for level in levels.values() for p, _, _ in level)
+    # a member's mask has a bit per slot where inserting the next maximum stays in the closure
+    masks = {}
+    for n in range(1, 9):
+        for p, _, _ in want[n]:
+            t = p.index(n)
+            q = p[:t] + p[t + 1 :]
+            masks[q] = masks.get(q, 0) | 1 << t
+    assert slots == masks
+
+
+def test_every_closure_member_decomposes_as_it_was_built():
+    levels, _ = _decomposed_closure([P("3142")], 9)
+    assert [len(levels[n]) for n in range(10)] == [0, 1, 2, 6, 23, 102, 492, 2498, 13130, 70800]
+    for n in range(2, 10):
+        for p, root, kids in levels[n]:
+            assert ps.decompose(p) == (root, kids)
 
 
 def test_closure_sizes_below_one_match_class_members():
