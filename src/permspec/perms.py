@@ -353,7 +353,8 @@ def decomposition_tree(p: Permutation) -> list[tuple[int, Permutation | None, in
 
 def in_closure(p: Permutation, simples: Iterable[Permutation]) -> bool:
     """Whether every prime node of p's decomposition tree carries a
-    permutation from the given set of simple permutations."""
+    permutation from the given set of simple permutations; a set that no
+    class has is refused (`_allowed_simples`)."""
     return _closure_tree(p, simples) is not None
 
 
@@ -362,17 +363,43 @@ def _closure_tree(
 ) -> list[tuple[int, Permutation | None, int]] | None:
     """p's decomposition tree if p lies in the substitution closure of the
     given simple permutations, else None."""
-    allowed = _allowed_simples(simples)
+    allowed = _allowed_simples(tuple(simples))
     tree = decomposition_tree(p)
     if all(root in allowed for _, root, _ in tree if root not in (None, PLUS, MINUS)):
         return tree
     return None
 
 
-def _allowed_simples(simples: Iterable[Permutation]) -> set[Permutation]:
-    """The given permutations as a set, refusing any that is not simple."""
-    allowed = set(simples)
-    for s in allowed:
+@lru_cache(maxsize=1 << 8)
+def _allowed_simples(simples: tuple[Permutation, ...]) -> frozenset[Permutation]:
+    """The given permutations as a set, refusing any that is not simple and
+    any set that is not closed under taking simple patterns: a simple pattern
+    of a member is in the member's class, so no class has such a set.
+    Memoized, as a membership test checks the same set on every call."""
+    allowed = frozenset(simples)
+    for s in simples:
         if not is_simple(s):
-            raise InvalidInputError(f"{s} is not simple")
+            raise InvalidInputError(f"{s} is not a simple permutation")
+    for s in simples:
+        for q in _simple_deletions(s):
+            if q not in allowed:
+                raise InvalidInputError(
+                    f"{q} is a simple pattern of {s} but is missing from the set; "
+                    "no permutation class has these exact simple permutations"
+                )
     return allowed
+
+
+def _simple_deletions(p: Permutation) -> set[Permutation]:
+    """The simple patterns of p with one or two points deleted; by Schmerl &
+    Trotter (Discrete Math. 1993) every simple pattern of a simple p is
+    reached from p by such steps through simple permutations."""
+    ones = _deletions(p)
+    return {q for q in ones.union(*map(_deletions, ones)) if is_simple(q)}
+
+
+def _deletions(p: Permutation) -> set[Permutation]:
+    """The distinct non-empty patterns of p with one entry deleted."""
+    if len(p) < 2:
+        return set()
+    return {Permutation(x - (x > v) for x in p[:k] + p[k + 1 :]) for k, v in enumerate(p)}

@@ -11,21 +11,19 @@ membership oracle.
 
 Every pattern that constrains a restriction is interned once, in a table
 private to this module: it gets a bit, and the table keeps, per pattern, the
-exact masks of the interned patterns it contains and of those that contain it,
-itself included in both.  A new pattern is compared once with each interned
-pattern and both directions are recorded, under a lock, before its bit is
-handed out, so concurrent threads may build restrictions freely.  A
-restriction derives its avoid and contain masks when it is built (they are not
-fields: equality, hash and repr ignore them, and unpickling rebuilds the
-restriction, so the masks are derived again in the receiving process).  The
-canonical minima and maxima, emptiness, meets and inclusion are then integer
-operations, and `restriction` builds the canonical form of a pair of pattern
-sets once, keyed by their masks.  The masks a query folds in from the table
-(what a restriction's mandatory patterns imply, what its avoided ones exclude)
-are exact only for the table they were read from, and a pattern interned later
-may sit below a mandatory one: each restriction stamps them with the table's
-size and reads them again once the table has grown, so no mask computed from a
-smaller table decides a later query.
+mask of the interned patterns it contains, itself included.  The table is
+append-only and closed downwards: a pattern is interned together with every
+pattern it contains that the table lacks, smallest first, so each entry's mask
+is its own bit and the masks of its one-point deletions, and it is final when
+it is written.  No entry is ever written again, and the table grows under a
+lock that publishes each id after its entry, so concurrent threads may build
+restrictions freely.  A restriction derives its masks when it is built: what
+it avoids, what it demands, and what its mandatory patterns imply, which no
+later pattern can join (they are not fields: equality, hash and repr ignore
+them, and unpickling rebuilds the restriction, so the masks are derived again
+in the receiving process).  The canonical minima and maxima, emptiness, meets
+and inclusion are then integer operations, and `restriction` builds the
+canonical form of a pair of pattern sets once, keyed by their masks.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidInputError
-from .perms import MINUS, ONE, PLUS, Permutation, contains, is_simple, sort_key
+from .perms import MINUS, ONE, PLUS, Permutation, _deletions, is_simple, sort_key
 
 DELTAS = ("", "+", "-")
 _DELTA_RANK = {"": 0, "+": 1, "-": 2}
@@ -45,10 +43,9 @@ _DELTA_RANK = {"": 0, "+": 1, "-": 2}
 _lock = threading.Lock()
 _ids: dict[Permutation, int] = {}
 _patterns: list[Permutation] = []
-# per interned pattern, the masks of the interned patterns it contains and of
-# those containing it, itself included; a slot grows, never shrinks
+# per interned pattern, the mask of the interned patterns it contains, itself
+# included; every one of them is interned first, so the mask is final
 _below: list[int] = []
-_above: list[int] = []
 
 
 def _intern(p: Permutation) -> int:
@@ -58,23 +55,21 @@ def _intern(p: Permutation) -> int:
         i = _ids.get(p)
         if i is not None:
             return i
-        i = len(_below)
-        bit = below = above = 1 << i
-        for q, j in _ids.items():
-            if len(q) < len(p) and contains(p, q):
-                below |= 1 << j
-            elif len(q) > len(p) and contains(q, p):
-                above |= 1 << j
-        # nothing is written until every comparison has succeeded
-        for j in _bits(below ^ bit):
-            _above[j] |= bit
-        for j in _bits(above ^ bit):
-            _below[j] |= bit
-        _patterns.append(p)
-        _below.append(below)
-        _above.append(above)
-        # published last: a pattern's id is only seen with both directions done
-        _ids[p] = i
+        # p and each pattern below it that the table lacks, one size at a time
+        new, level = {}, {p}
+        while level:
+            new.update((q, _deletions(q)) for q in level)
+            level = {d for q in level for d in new[q] if d not in _ids}
+        # smallest first, so p, the largest, comes last
+        for q in sorted(new, key=sort_key):
+            i = len(_below)
+            below = 1 << i
+            for d in new[q]:
+                below |= _below[_ids[d]]
+            _patterns.append(q)
+            _below.append(below)
+            # published last: an id is only seen with its entry written
+            _ids[q] = i
         return i
 
 
@@ -94,9 +89,18 @@ def _mask(patterns) -> int:
     return m
 
 
+def _below_others(mask: int) -> int:
+    """The interned patterns below some pattern of the mask other than
+    themselves."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= _below[low.bit_length() - 1] ^ low
+        mask ^= low
+    return out
+
+
 _ONE_BIT = _mask((ONE,))
-# never equal to a table size: the first query reads the table
-_UNREAD = (-1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,11 @@ class Restriction:
     def __post_init__(self) -> None:
         if self.delta not in DELTAS:
             raise InvalidInputError(f"bad delta {self.delta!r}")
-        object.__setattr__(self, "_avoid_mask", _mask(self.avoid))
-        object.__setattr__(self, "_contain_mask", _mask(self.contain))
-        object.__setattr__(self, "_read", _UNREAD)
+        avoid, contain = _mask(self.avoid), _mask(self.contain)
+        object.__setattr__(self, "_avoid_mask", avoid)
+        object.__setattr__(self, "_contain_mask", contain)
+        # the interned patterns some mandatory pattern contains
+        object.__setattr__(self, "_implied", contain | _below_others(contain))
 
     def __reduce__(self):
         # the masks are bits of this process's table: rebuild, never copy them
@@ -134,24 +140,6 @@ class Restriction:
             tuple(sort_key(p) for p in self.avoid),
             tuple(sort_key(p) for p in self.contain),
         )
-
-
-def _table_masks(r: Restriction) -> tuple[int, int, int]:
-    """(table size, implied, excluded): the interned patterns some mandatory
-    pattern of r contains, and those containing some avoided one, read from
-    the current table unless r's stamp is of its current size."""
-    read = r._read
-    size = len(_below)
-    if read[0] != size:
-        implied = excluded = 0
-        for p in r.contain:
-            implied |= _below[_ids[p]]
-        for p in r.avoid:
-            excluded |= _above[_ids[p]]
-        # one tuple, so a concurrent reader never pairs a stamp with other masks
-        read = (size, implied, excluded)
-        object.__setattr__(r, "_read", read)
-    return read
 
 
 def _delta_bars(delta: str, root: Permutation | None) -> bool:
@@ -177,26 +165,25 @@ def _canonical(delta: str, avoid: int, contain: int) -> Restriction:
     """The restriction of the minimal patterns of one mask and the maximal
     ones of another; masks name pattern sets for good, so it never goes
     stale."""
-    return Restriction(delta, _extremes(avoid, _below), _extremes(contain, _above))
+    minimal = [i for i in _bits(avoid) if _below[i] & avoid == 1 << i]
+    maximal = _bits(contain & ~_below_others(contain))
+    return Restriction(delta, _ordered(minimal), _ordered(maximal))
 
 
-def _extremes(mask: int, relation: list[int]) -> tuple[Permutation, ...]:
-    """The patterns of the mask whose `relation` mask (below or above) meets
-    no other of them, in canonical order."""
-    kept = [_patterns[i] for i in _bits(mask) if relation[i] & mask == 1 << i]
-    kept.sort(key=sort_key)
-    return tuple(kept)
+def _ordered(ids) -> tuple[Permutation, ...]:
+    """The interned patterns of these ids, in canonical order."""
+    return tuple(sorted((_patterns[i] for i in ids), key=sort_key))
 
 
 def is_empty_sufficient(r: Restriction) -> bool:
     """True guarantees the restriction denotes the empty set: some avoided
     pattern sits below some mandatory one.  False proves nothing."""
-    return r._avoid_mask & _table_masks(r)[1] != 0
+    return r._avoid_mask & r._implied != 0
 
 
 def provably_empty(r: Restriction) -> bool:
     """Emptiness by convention (1 avoided) or by the sufficient test."""
-    return r._avoid_mask & (_ONE_BIT | _table_masks(r)[1]) != 0
+    return r._avoid_mask & (_ONE_BIT | r._implied) != 0
 
 
 def subset_sufficient(r1: Restriction, r2: Restriction) -> bool:
@@ -207,8 +194,13 @@ def subset_sufficient(r1: Restriction, r2: Restriction) -> bool:
     """
     if r1.delta != r2.delta:
         raise InvalidInputError("subset test requires matching deltas")
-    _, implied, excluded = _table_masks(r1)
-    return r2._avoid_mask & ~excluded == 0 and r2._contain_mask & ~implied == 0
+    if r2._contain_mask & ~r1._implied:
+        return False
+    avoided = r1._avoid_mask
+    for p in r2.avoid:
+        if not _below[_ids[p]] & avoided:
+            return False
+    return True
 
 
 @lru_cache(maxsize=1 << 16)
@@ -297,16 +289,8 @@ def terms_meet_provably_empty(t1: RestrictionTerm, t2: RestrictionTerm) -> bool:
     without building the meet: the meet of c1 and c2 is provably empty
     exactly when one of their avoided patterns is 1 or lies below one of
     their mandatory patterns."""
-    # the stamp checks of _table_masks, inlined: nearly every meet of an
-    # expansion comes through here, and nearly all of them are empty
-    size = len(_below)
     for c1, c2 in zip(t1.children, t2.children):
-        read1, read2 = c1._read, c2._read
-        if read1[0] != size:
-            read1 = _table_masks(c1)
-        if read2[0] != size:
-            read2 = _table_masks(c2)
-        if (c1._avoid_mask | c2._avoid_mask) & (_ONE_BIT | read1[1] | read2[1]):
+        if (c1._avoid_mask | c2._avoid_mask) & (_ONE_BIT | c1._implied | c2._implied):
             return True
     return False
 

@@ -10,7 +10,6 @@ ambiguous or disambiguated, lives in the disambiguate module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .embeddings import all_embeddings
@@ -20,9 +19,9 @@ from .perms import (
     ONE,
     PLUS,
     Permutation,
+    _allowed_simples,
     contains,
     is_simple,
-    normalize,
     normalized_blocks,
     sort_key,
 )
@@ -71,35 +70,14 @@ class SimpleSet:
 
     The set of a genuine class is closed under taking simple patterns (a
     simple pattern of a member is in the class, hence in the set), so a set
-    violating that cannot come from any class and is rejected.  It suffices
-    to check each member's simple one- and two-point deletions: by Schmerl &
-    Trotter (1993) those steps, repeated, reach every simple pattern.
+    violating that cannot come from any class and is rejected, by the same
+    check that `in_closure` and the oracle make.
     """
 
     simples: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
-        members = set(self.simples)
-        for p in self.simples:
-            if not is_simple(p):
-                raise InvalidInputError(f"{p} is not a simple permutation")
-        for p in self.simples:
-            for q in _simple_deletions(p):
-                if q not in members:
-                    raise InvalidInputError(
-                        f"{q} is a simple pattern of {p} but is missing from the set; "
-                        "no permutation class has these exact simple permutations"
-                    )
-
-
-def _simple_deletions(p: Permutation) -> set[Permutation]:
-    """The simple patterns of p with one or two points deleted; by Schmerl & Trotter
-    (Discrete Math. 1993) every simple pattern of a simple p is reached from p by such
-    steps through simple permutations.  Fewer than 4 points are never simple."""
-    n = len(p)
-    gaps = (g for k in (1, 2) if n - k >= 4 for g in itertools.combinations(range(n), k))
-    patterns = {normalize([x for i, x in enumerate(p.values) if i not in g]) for g in gaps}
-    return {q for q in patterns if is_simple(q)}
+        _allowed_simples(tuple(self.simples))
 
 
 def simple_set(simples) -> SimpleSet:

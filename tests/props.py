@@ -475,7 +475,6 @@ def check_intern_table(patterns):
     for p, i in ids.items():
         for q, j in ids.items():
             assert bool(restrictions._below[i] >> j & 1) == ps.contains(p, q), (p, q)
-            assert bool(restrictions._above[i] >> j & 1) == ps.contains(q, p), (p, q)
 
 
 def random_restrictions(rng, pool, count):
@@ -500,8 +499,10 @@ def unseen_first(candidates):
 def check_masks_against_pairs(rounds=30, seed=0):
     """Seeded random restrictions over patterns of sizes 1-6, all three
     deltas: canonical forms and every mask decision equal the referee, also
-    for patterns interned after the restrictions' masks were first read (a
-    mandatory pattern's deletion, an avoided pattern's extension)."""
+    for restrictions over a mandatory pattern's deletion and an avoided
+    pattern's extension.  The deletion was interned with the mandatory
+    pattern, so only the extension can be new to the table, and it sits
+    above a pattern some earlier restriction avoids."""
     rng = random.Random(seed)
     late = 0
     for _ in range(rounds):

@@ -297,8 +297,14 @@ def test_each_single_pattern_grows_the_contains_filter(simples):
 
 def test_closure_of_a_set_missing_a_simple_pattern_is_refused():
     # 246135 without its maximum is 24135, whose prime node 2413 the set
-    # lacks, so its closure would miss 246135 itself
-    for grow in (closure_members, _Denotations):
+    # lacks, so its closure would miss 246135 itself; the membership tests
+    # refuse the set too, so no view of the closure takes it
+    for grow in (
+        closure_members,
+        _Denotations,
+        lambda simples, n: ps.in_closure(P("246135"), simples),
+        lambda simples, n: member_of_restriction(P("246135"), Restriction("", (), ()), simples),
+    ):
         with pytest.raises(InvalidInputError, match="2 4 1 3 is a simple pattern of 2 4 6 1 3 5"):
             grow([P("246135")], 6)
     simples = [P("2413"), P("246135")]

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 import permspec as ps
+from permspec import perms, restrictions
 from permspec.errors import InvalidInputError
 from permspec.oracle import member_of_restriction
 from permspec.restrictions import (
@@ -268,10 +269,37 @@ def test_restriction_unpickled_in_another_process_rehashes():
     assert proc.stdout.decode().strip() == "ok"
 
 
+def test_interning_searches_for_no_pattern(monkeypatch):
+    # a fresh pattern is interned with every pattern below it, and its mask
+    # is folded from its one-point deletions' masks: no occurrence search
+    def search(*args, **kwargs):
+        raise AssertionError("interning searched for a pattern")
+
+    rng = random.Random(32)
+    fresh = []
+    while len(fresh) < 40:
+        p = random_perm(rng, rng.randint(5, 7))
+        if p not in restrictions._ids and p not in fresh:
+            fresh.append(p)
+    monkeypatch.setattr(perms, "_occurrence_search", search)
+    for p, q in zip(fresh[::2], fresh[1::2]):
+        restriction(rng.choice(restrictions.DELTAS), [p], [q])
+    monkeypatch.undo()
+    ids = restrictions._ids
+    assert set(fresh) <= ids.keys()
+    # the whole table against pairwise contains; a pattern contains no other
+    # pattern of its own size or larger
+    for p, i in ids.items():
+        if len(p) > 1:
+            assert set(deletions(p)) <= ids.keys(), p
+        want = sum(1 << j for q, j in ids.items() if len(q) < len(p) and ps.contains(p, q))
+        assert restrictions._below[i] == want | 1 << i, p
+
+
 def test_interning_many_patterns_of_one_size_matches_pairwise_contains():
-    # most bits of a new pattern's masks are zero when most interned
-    # patterns share its size: the write-back must still reach every
-    # smaller pattern it contains and every larger one containing it
+    # most bits of a new pattern's mask are zero when most interned
+    # patterns share its size: it must still reach every smaller pattern it
+    # contains, and every larger one containing it must reach it
     rng = random.Random(27)
     sevens = [random_perm(rng, 7) for _ in range(300)]
     smaller = [rng.choice(deletions(p)) for p in sevens[:40]]

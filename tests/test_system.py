@@ -10,8 +10,9 @@ from permspec.errors import (
     NotAntichainError,
     TrivialClassError,
 )
+from permspec.perms import _simple_deletions
 from permspec.restrictions import RestrictionTerm, provably_empty, restriction
-from permspec.system import _simple_deletions, empty_restrictions, propagated_blocks, prune_terms
+from permspec.system import empty_restrictions, propagated_blocks, prune_terms
 from props import (
     all_perms,
     check_add_constraints_semantics,
