@@ -9,8 +9,10 @@ complements of the others.  Complements introduce mandatory patterns, which
 propagate through inflations just like forbidden ones, by embeddings.  Each
 distinct group is expanded once and its parts are memoized, since the `""`,
 `"+"` and `"-"` equations of one restriction share their 12- and 21-rooted
-groups.  A meet of two terms is tested for emptiness child pair by child pair
-before it is built, because nearly all the meets of an expansion are empty.
+groups.  No complement is built in full: each slice grows by one meet step,
+which keeps per child only the options whose meet with that child is not
+provably empty and takes the product of what it kept, since nearly every
+part of a complement is disjoint from the slice.
 
 One worklist driver builds both systems: it adds an equation for every
 restriction that appears on a right-hand side until the system is closed,
@@ -30,13 +32,11 @@ from .perms import Permutation, contains
 from .restrictions import (
     Equation,
     RestrictionTerm,
-    complement_term,
-    intersect_terms,
+    _meet,
+    complement_restriction,
     provably_empty,
     restriction,
     root_rank,
-    term_provably_empty,
-    terms_meet_provably_empty,
 )
 from .system import (
     Basis,
@@ -97,9 +97,12 @@ def disambiguate(eq: Equation) -> Equation:
     t_1..t_k the union is replaced by the disjoint union over non-empty
     subsets X of the intersections of t_i for i in X with complements of the
     others; complements distribute into disjoint unions of terms and all
-    intersections are componentwise.  Provably empty parts are dropped, and
-    literal duplicates (necessarily empty, since the parts are disjoint)
-    are kept once.
+    intersections are componentwise.  Each slice starts from the free term
+    and meets the chosen terms, then the complements of the others in
+    ascending order, one meet step each, so the chosen terms prune the
+    complements' products before they are expanded.  Provably empty parts
+    are never built, and literal duplicates (necessarily empty, since the
+    parts are disjoint) are kept once.
     """
     groups: dict[Permutation, list[RestrictionTerm]] = {}
     for t in eq.terms:
@@ -117,47 +120,21 @@ def disambiguate(eq: Equation) -> Equation:
 @lru_cache(maxsize=1 << 10)
 def _disambiguate_group(group: tuple[RestrictionTerm, ...]) -> tuple[RestrictionTerm, ...]:
     k = len(group)
-    complements = [complement_term(t) for t in group]
-    return tuple(
-        dict.fromkeys(
-            t
-            for size in range(1, k + 1)
-            for chosen in itertools.combinations(range(k), size)
-            for t in _slice_terms(group, complements, set(chosen))
-        )
-    )
-
-
-def _slice_terms(
-    group: tuple[RestrictionTerm, ...],
-    complements: list[tuple[RestrictionTerm, ...]],
-    chosen: set[int],
-) -> list[RestrictionTerm]:
-    """Terms of the disjoint slice: members of `chosen` intersected with the
-    complements of the rest of the group."""
-    first, *rest = sorted(chosen)
-    base = group[first]
-    if term_provably_empty(base):
-        return []
-    for i in rest:
-        if terms_meet_provably_empty(base, group[i]):
-            return []
-        base = intersect_terms(base, group[i])
-    slice_terms = [base]
-    for j in range(len(group)):
-        if j in chosen:
-            continue
-        slice_terms = list(
-            dict.fromkeys(
-                intersect_terms(s, c)
-                for s in slice_terms
-                for c in complements[j]
-                if not terms_meet_provably_empty(s, c)
-            )
-        )
-        if not slice_terms:
-            return []
-    return slice_terms
+    options = [[(c,) + complement_restriction(c) for c in t.children] for t in group]
+    free = RestrictionTerm(group[0].root, tuple(restriction(c.delta) for c in group[0].children))
+    out: dict[RestrictionTerm, None] = {}
+    for size in range(1, k + 1):
+        for chosen in itertools.combinations(range(k), size):
+            # the chosen terms first, so they prune the complements' products
+            steps = [([(c,) for c in group[i].children], False) for i in chosen]
+            steps += [(options[j], True) for j in range(k) if j not in chosen]
+            slice_terms = [free]
+            for opts, flip in steps:
+                slice_terms = list(
+                    dict.fromkeys(u for s in slice_terms for u in _meet(s, opts, flip))
+                )
+            out.update(dict.fromkeys(slice_terms))
+    return tuple(out)
 
 
 def ambiguous_system(basis: Basis, simples: SimpleSet) -> EquationSystem:

@@ -203,11 +203,14 @@ def subset_sufficient(r1: Restriction, r2: Restriction) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 16)
 def intersect_restrictions(r1: Restriction, r2: Restriction) -> Restriction:
     if r1.delta != r2.delta:
         raise InvalidInputError("intersection requires matching deltas")
-    return restriction(r1.delta, r1.avoid + r2.avoid, r1.contain + r2.contain)
+    return _canonical(
+        r1.delta,
+        r1._avoid_mask | r2._avoid_mask,
+        (r1._contain_mask | r2._contain_mask) & ~_ONE_BIT,
+    )
 
 
 def complement_restriction(r: Restriction) -> tuple[Restriction, ...]:
@@ -283,16 +286,17 @@ def term_provably_empty(t: RestrictionTerm) -> bool:
     return any(provably_empty(c) for c in t.children)
 
 
+def meet_provably_empty(c1: Restriction, c2: Restriction) -> bool:
+    """True guarantees the restrictions c1 and c2 are disjoint, decided
+    without building their meet: one of their avoided patterns is 1 or lies
+    below one of their mandatory patterns."""
+    return (c1._avoid_mask | c2._avoid_mask) & (_ONE_BIT | c1._implied | c2._implied) != 0
+
+
 def terms_meet_provably_empty(t1: RestrictionTerm, t2: RestrictionTerm) -> bool:
     """True guarantees the same-root terms t1 and t2 are disjoint: their
-    componentwise meet has a provably empty child.  Decided per child pair,
-    without building the meet: the meet of c1 and c2 is provably empty
-    exactly when one of their avoided patterns is 1 or lies below one of
-    their mandatory patterns."""
-    for c1, c2 in zip(t1.children, t2.children):
-        if (c1._avoid_mask | c2._avoid_mask) & (_ONE_BIT | c1._implied | c2._implied):
-            return True
-    return False
+    componentwise meet has a provably empty child."""
+    return any(map(meet_provably_empty, t1.children, t2.children))
 
 
 def term_subset_sufficient(t1: RestrictionTerm, t2: RestrictionTerm) -> bool:
@@ -316,15 +320,34 @@ def complement_term(t: RestrictionTerm) -> tuple[RestrictionTerm, ...]:
     """Disjoint terms covering the rest of the same-root inflations.
 
     Every child independently either keeps its restriction or takes one part
-    of that restriction's disjoint complement, excluding the all-keep choice.
+    of that restriction's disjoint complement, excluding the all-keep choice;
+    provably empty parts are left out.
     """
-    options = [(child,) + complement_restriction(child) for child in t.children]
-    out = []
-    for picks in itertools.product(*(range(len(o)) for o in options)):
-        if all(p == 0 for p in picks):
+    free = RestrictionTerm(t.root, tuple(restriction(c.delta) for c in t.children))
+    return tuple(_meet(free, [(c,) + complement_restriction(c) for c in t.children], True))
+
+
+def _meet(
+    s: RestrictionTerm, options: list[tuple[Restriction, ...]], flip: bool
+) -> Iterator[RestrictionTerm]:
+    """The meets of s with every term that takes one option per child, in
+    product order, leaving out each pick whose meet is provably empty.  With
+    `flip`, the pick of every child's first option is left out too: the
+    options being a term's children and their complements, the terms met
+    are then that term's complement.
+
+    Emptiness is decided per child, before anything is built, so the product
+    only runs over the options each child of s can meet.
+    """
+    kept = [
+        [(i, intersect_restrictions(c, o)) for i, o in enumerate(opts)
+         if not meet_provably_empty(c, o)]
+        for c, opts in zip(s.children, options)
+    ]
+    for picks in itertools.product(*kept):
+        if flip and not any(i for i, _ in picks):
             continue
-        out.append(RestrictionTerm(t.root, tuple(options[i][p] for i, p in enumerate(picks))))
-    return tuple(out)
+        yield RestrictionTerm(s.root, tuple(c for _, c in picks))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from permspec.restrictions import (
     Restriction,
     RestrictionTerm,
     restriction,
+    term_provably_empty,
     terms_meet_provably_empty,
 )
 
@@ -327,9 +328,12 @@ def check_complement_term_cover(nmax=7, simples=()):
             ps.PLUS,
             (restriction("+", [perm("12")]), restriction("", [perm("132")], [perm("21")])),
         ),
+        # flipping both of the first child's patterns gives C+<12>(123), empty
+        RestrictionTerm(ps.PLUS, (restriction("+", [perm("123")], [perm("12")]), restriction(""))),
     ]
     for t in terms:
         parts = (t,) + ps.complement_term(t)
+        assert not any(map(term_provably_empty, parts[1:])), (t, parts)
         for n in range(2, nmax + 1):
             for p, _, kids in den.table[n].get(t.root, ()):
                 hits = sum(in_term(den, part, t.root, kids) for part in parts)

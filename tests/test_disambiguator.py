@@ -5,13 +5,14 @@ import pytest
 
 import permspec as ps
 from permspec.errors import InvalidInputError
+from permspec import restrictions
 from permspec.restrictions import (
     RestrictionTerm,
-    intersect_terms,
+    intersect_restrictions,
+    meet_provably_empty,
+    provably_empty,
     restriction,
     root_rank,
-    term_provably_empty,
-    terms_meet_provably_empty,
 )
 from permspec.system import prune_terms
 from reference_systems import AV132_EXPECTED, BIG_EXPECTED, SEP_SUBCLASS_EXPECTED, system_as_dict
@@ -156,6 +157,10 @@ def test_specification_is_deterministic(big_basis, big_simples, big_spec):
     assert jsonio.dumps_system(again) == jsonio.dumps_system(big_spec)
 
 
+# a class of 107 equations, with simples of size 4 to 7
+SEVEN_PATTERNS = ("2413", "1432", "41523", "31245", "561243", "513426", "253641")
+FIVE_SIMPLES = ("3142", "41352", "514263", "531462", "6142573")
+
 # SHA-256 of dumps_system for (specification, ambiguous_system), keyed by
 # (basis, simples); a change to the construction that alters any byte of
 # either file must update these.
@@ -188,6 +193,21 @@ SYSTEM_JSON_SHA256 = {
         "46df8245a1e90a219fb8707b64f6fbb0fe315e26c774618763ac74a5364c27bb",
         "a76e5d548003e33c8a9627c78544643ae097c0962ab47d3d4d4f3c63cdcd28dc",
     ),
+    (SEVEN_PATTERNS, FIVE_SIMPLES): (
+        "a3ae0ace99d56d7f112615482cd00990eea8deb0bd94b3b51bbf8c8a8e4fd856",
+        "07e1017e86b1278e72921e7b6f5179eecd53617982e9e670ac1cafb79af5d473",
+    ),
+    (
+        ("2413", "1234", "42531", "53421", "32415", "254316"),
+        ("3142", "41352", "415263", "415362", "514263", "531462", "5164273", "6415273"),
+    ): (
+        "fbb965a65b92d9fe867d05a5ad893130b5707b3714c846da100541bc5421b527",
+        "c78c868c62b063f13fbea0419b75ec0d2737faa4f3ceeb6591df43953fe6fd47",
+    ),
+    (("2413", "3142", "21354", "45312"), ()): (
+        "dafc185408d00b23b874b22e7ce2a1867ac88d026ecc13ecf5a3cd588dca0669",
+        "565b472cb15c586cfed2d0da0db64561cc216d7d8efbe2203b6853d4a27661ef",
+    ),
 }
 
 
@@ -202,6 +222,28 @@ def test_system_json_is_pinned(cls):
         for build in (ps.specification, ps.ambiguous_system)
     )
     assert got == SYSTEM_JSON_SHA256[cls]
+
+
+def test_disambiguation_builds_no_complement_it_does_not_meet(monkeypatch):
+    """Meets are pruned child by child before any term is built, so the
+    107-equation class builds a few thousand terms, not the 473,687 of its
+    groups' complements in full."""
+    built = []
+    post_init = RestrictionTerm.__post_init__
+
+    def counted(t):
+        built.append(t)
+        post_init(t)
+
+    dis._disambiguate_group.cache_clear()
+    monkeypatch.setattr(RestrictionTerm, "__post_init__", counted)
+    spec = ps.specification(
+        ps.basis_of([P(x) for x in SEVEN_PATTERNS]), ps.simple_set([P(x) for x in FIVE_SIMPLES])
+    )
+    monkeypatch.undo()
+    assert len(spec.equations) == 107
+    assert len(built) < 20_000
+    assert ps.class_counts(spec, 8)[1:] == [1, 2, 6, 22, 86, 332, 1236, 4466]
 
 
 def test_add_mandatory_semantics_small():
@@ -222,20 +264,20 @@ HARD_BASES = (
 
 @pytest.mark.parametrize("basis", HARD_BASES, ids="-".join)
 def test_group_memo_and_pair_test_match_building_every_meet(basis, no_simples, monkeypatch):
-    """On every equation: each meet the expansion tests is provably empty by
-    the per-child-pair test exactly when the built meet is, and each group's
+    """On every equation: each child meet the expansion tests is provably
+    empty by the mask test exactly when the built meet is, and each group's
     memoized parts are a fresh expansion's, in order, and so are the
     specification's terms."""
     spec = ps.specification(ps.basis_of([P(x) for x in basis]), no_simples)
     met = []
 
-    def built_and_tested(s, c):
-        got = terms_meet_provably_empty(s, c)
-        assert got == term_provably_empty(intersect_terms(s, c)), (s, c)
+    def built_and_tested(a, b):
+        got = meet_provably_empty(a, b)
+        assert got == provably_empty(intersect_restrictions(a, b)), (a, b)
         met.append(got)
         return got
 
-    monkeypatch.setattr(dis, "terms_meet_provably_empty", built_and_tested)
+    monkeypatch.setattr(restrictions, "meet_provably_empty", built_and_tested)
     groups = 0
     for lhs, done in spec.equations.items():
         eq = ps.eqn_for_restriction(lhs.delta, lhs.avoid, lhs.contain, no_simples)
