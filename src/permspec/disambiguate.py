@@ -93,27 +93,23 @@ def disambiguate(eq: Equation) -> Equation:
     """Rewrite the right-hand side as a disjoint union.
 
     Terms with distinct roots are disjoint already, and so is the atom, so
-    only same-root groups of two or more terms are expanded.  Within a group
-    t_1..t_k the union is replaced by the disjoint union over non-empty
-    subsets X of the intersections of t_i for i in X with complements of the
-    others; complements distribute into disjoint unions of terms and all
-    intersections are componentwise.  Each slice starts from the free term
-    and meets the chosen terms, then the complements of the others in
-    ascending order, one meet step each, so the chosen terms prune the
-    complements' products before they are expanded.  Provably empty parts
-    are never built, and literal duplicates (necessarily empty, since the
-    parts are disjoint) are kept once.
+    each same-root group is expanded on its own.  Within a group t_1..t_k
+    the union is replaced by the disjoint union over non-empty subsets X of
+    the intersections of t_i for i in X with complements of the others
+    (for k = 1 that is t_1 itself); complements distribute into disjoint
+    unions of terms and all intersections are componentwise.  Each slice
+    starts from the free term and meets the chosen terms, then the
+    complements of the others in ascending order, one meet step each, so
+    the chosen terms prune the complements' products before they are
+    expanded.  Provably empty parts are never built, and literal duplicates
+    (necessarily empty, since the parts are disjoint) are kept once.
     """
     groups: dict[Permutation, list[RestrictionTerm]] = {}
     for t in eq.terms:
         groups.setdefault(t.root, []).append(t)
     out: list[RestrictionTerm] = []
     for root in sorted(groups, key=root_rank):
-        group = groups[root]
-        if len(group) == 1:
-            out.extend(group)
-        else:
-            out.extend(_disambiguate_group(tuple(group)))
+        out.extend(_disambiguate_group(tuple(groups[root])))
     return Equation(eq.lhs, eq.has_one, tuple(out), disjoint=True)
 
 

@@ -206,10 +206,15 @@ def read_patterns_text(text: str) -> list[Permutation]:
 
 
 def read_text_file(path: str) -> str:
-    """A file's contents as UTF-8 text; any other bytes are an input error."""
+    """A file's contents as UTF-8 text, less one leading byte-order mark;
+    any other bytes are an input error.
+
+    The mark is stripped after decoding, so an error names the byte's
+    offset in the file itself.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InvalidInputError(
             f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"

@@ -142,8 +142,6 @@ def _occurrence_search(
     if k == 0:
         yield ()
         return
-    if k > n:
-        return
     below, above = _slot_bounds(pv)
     # vals[t] is the host value at slot t; vals[k] and vals[k + 1] bound
     # every value of a permutation of 1..n from below and above

@@ -167,9 +167,9 @@ def add_constraints(t: RestrictionTerm, g: Permutation) -> tuple[RestrictionTerm
         (emb, [k for k, block in enumerate(emb) if len(block) >= 2])
         for emb in all_embeddings(g, t.root)
     ]
-    if any(not cands for _, cands in per_embedding):
-        return ()
-    # stable, so ties keep all_embeddings' canonical order
+    # fewest blockers first, so an embedding that no child can block empties
+    # the union at the first step; stable, so ties keep all_embeddings'
+    # canonical order
     per_embedding.sort(key=lambda ec: len(ec[1]))
     terms = (t,)
     for emb, cands in per_embedding:

@@ -596,6 +596,9 @@ def check_group_expansion_cover(nmax=7, simples=()):
     t2 = RestrictionTerm(
         ps.PLUS, (restriction("+", [perm("21")]), restriction("", [perm("2143")]))
     )
+    # a one-term group is its own disjoint union
+    assert _disambiguate_group((t1,)) == (t1,)
+    assert _disambiguate_group((t2,)) == (t2,)
     expanded = _disambiguate_group((t1, t2))
     for n in range(2, nmax + 1):
         for root, bucket in den.table[n].items():

@@ -317,6 +317,32 @@ def test_non_utf8_input_file_is_domain_error(tmp_path, big_files, capsys, bad):
     assert "binary.txt is not UTF-8" in one_line(err)
 
 
+def test_input_files_may_start_with_a_byte_order_mark(tmp_path, big_files, capsys):
+    """A leading BOM is dropped; the byte named in a decoding error still
+    counts from the start of the file."""
+    basis, simples = big_files
+    spec_path = tmp_path / "spec.json"
+    run(capsys, "specify", "--basis", str(basis), "--simples", str(simples),
+        "--out", str(spec_path))
+    bom = b"\xef\xbb\xbf"
+    argvs = [
+        ["oracle", "enumerate", "--basis", str(basis), "-n", "5"],
+        ["count", "--spec", str(spec_path), "-N", "8"],
+    ]
+    for argv, path in zip(argvs, (basis, spec_path)):
+        plain = run(capsys, *argv)
+        marked = tmp_path / ("bom-" + path.name)
+        marked.write_bytes(bom + path.read_bytes())
+        assert run(capsys, *[str(marked) if a == str(path) else a for a in argv]) == plain
+        assert plain[0] == 0 and plain[1]
+
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(bom + b"3142\n\xff\n")
+    code, _, err = run(capsys, "count", "--spec", str(binary), "-N", "5")
+    assert code == 1
+    assert "binary.txt is not UTF-8 text (byte 8:" in one_line(err)
+
+
 @pytest.mark.parametrize("command", ["specify", "ambiguous"])
 def test_simple_containing_a_basis_pattern_is_domain_error(tmp_path, capsys, command):
     basis = tmp_path / "basis.txt"
